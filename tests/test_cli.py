@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from edgeprim import build_group, from_cycles
@@ -147,10 +148,17 @@ def test_analyze_hoffman_singleton_three_checks(tmp_path, capsys):
     capsys.readouterr()
     rc = run([
         "analyze", "--graph", str(graph_path),
-        "--check", "edge-primitive,s-degree,main-theorem", "--json",
+        "--check",
+        "edge-primitive,s-degree,local-structure,almost-simple,"
+        "main-theorem,prime-valency,three-arc",
+        "--json",
     ])
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "934018f8cd131e75f77893d2c8d3785d26ee6e4c6a6a9c4778eb638266f9f0f9"
+    )
+    payload = json.loads(out)
     by_name = {c["check_name"]: c for c in payload}
     assert by_name["edge-primitive"]["verdict"] == "pass"
     assert by_name["s-degree"]["evidence"]["s_degree"] == 3

@@ -1,0 +1,52 @@
+"""Pinned certificate bytes.
+
+Each file under ``tests/golden/`` is the exact stdout of one ``edgeprim``
+command run on inputs written under fixed file names, so the file names and
+content hashes recorded in the certificates are reproducible.  A change to
+any certificate byte, verdict or exit code fails here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from edgeprim.cli import main
+from edgeprim.families import pgl2, psl2
+from edgeprim.fileio import write_group
+
+GOLDEN = Path(__file__).parent / "golden"
+ALL_CHECKS = (
+    "edge-primitive,s-degree,local-structure,almost-simple,"
+    "main-theorem,prime-valency,three-arc"
+)
+
+# golden name -> (family, group builder or None for Aut(graph), exit code)
+ANALYZE_CASES = {
+    "petersen": ("petersen", None, 1),
+    "heawood": ("heawood", None, 0),
+    "complete-5": ("complete:5", None, 0),
+    "complete-bipartite-3": ("complete-bipartite:3", None, 1),
+    "complete-8-pgl2-7": ("complete:8", lambda: pgl2(7), 0),
+    "complete-14-psl2-13": ("complete:14", lambda: psl2(13), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_CASES))
+def test_analyze_all_checks_matches_golden(name, tmp_path, capsys):
+    family, make_group, exit_code = ANALYZE_CASES[name]
+    graph_path = tmp_path / f"{name}.graph"
+    assert main(["construct", "--family", family, "--out", str(graph_path)]) == 0
+    argv = ["analyze", "--graph", str(graph_path), "--check", ALL_CHECKS, "--json"]
+    if make_group is not None:
+        group_path = tmp_path / f"{name}.group"
+        write_group(make_group(), group_path)
+        argv += ["--group", str(group_path)]
+    capsys.readouterr()
+    assert main(argv) == exit_code
+    assert capsys.readouterr().out == (GOLDEN / f"analyze-{name}.json").read_text("ascii")
+
+
+def test_lemmas_all_matches_golden(tmp_path, capsys):
+    argv = ["lemmas", "--suite", "all", "--json", "--fixture-dir", str(tmp_path / "fixtures")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "lemmas-all.json").read_text("ascii")
