@@ -2,10 +2,10 @@
 
 Every check returns a :class:`Certificate` with a verdict in
 {pass, fail, scale-limit, not-applicable} and a flat evidence map of exact
-integers and booleans.  Checks are pure functions of (groups, graph,
-config): re-running a pass certificate from its recorded inputs reproduces
-identical evidence bit for bit.  Hypothesis failures yield not-applicable,
-never a vacuous pass.
+integers and booleans.  Checks read the facts of one :class:`Analysis` of
+(group, graph, config), which computes each fact once: re-running a pass
+certificate from its recorded inputs reproduces identical evidence bit for
+bit.  Hypothesis failures yield not-applicable, never a vacuous pass.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .groups import (
 )
 from .structure import (
     GroupFingerprint,
+    _p_part,
     centralizer,
     fingerprint,
     is_cyclic,
@@ -41,7 +42,6 @@ from .structure import (
     sylow_subgroup,
 )
 from .actions import (
-    Action,
     act_on_pairs,
     is_k_transitive,
     is_primitive,
@@ -51,6 +51,8 @@ from .actions import (
 )
 from .graphs import (
     Graph,
+    LocalAction,
+    arc_kernel,
     check_preserves_edges,
     count_s_arcs,
     first_s_arc,
@@ -58,6 +60,7 @@ from .graphs import (
     is_complete_bipartite,
     is_connected,
     is_star,
+    local_action,
     valency,
 )
 from .version import CERTIFICATE_SCHEMA_VERSION, TOOL_VERSION
@@ -109,90 +112,128 @@ class Certificate:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _config_snapshot(config: RunConfig) -> dict:
-    return {
-        "enumeration_cutoff": config.enumeration_cutoff,
-        "s_cap": config.s_cap,
-        "schema_version": CERTIFICATE_SCHEMA_VERSION,
-        "tool_version": TOOL_VERSION,
-    }
+class Analysis:
+    """A group acting on a graph (or only on its points, when ``graph`` is
+    None) under one run configuration.
+
+    Every fact the checks share is computed on first use and then kept: the
+    first edge with its setwise and pointwise stabilizers, the local action
+    at a vertex, the analysis of each normal subgroup on the same graph,
+    and the certificate of each graph-level check.  Composite checks read
+    their sub-results here instead of recomputing them.  Only subgroups and
+    certificates are kept, never element lists.
+    """
+
+    def __init__(
+        self,
+        group: Group,
+        graph: Graph | None = None,
+        inputs: dict | None = None,
+        config: RunConfig = DEFAULT_CONFIG,
+    ) -> None:
+        self.group = group
+        self.graph = graph
+        self.inputs = dict(inputs or {})
+        self.config = config
+        self._certificates: dict[str, Certificate] = {}
+        self._local: dict[int, LocalAction] = {}
+        self._normals: dict[Group, Analysis] = {}
+
+    def certificate(self, name: str, verdict: str, evidence: dict) -> Certificate:
+        return Certificate(
+            check_name=name,
+            inputs=dict(self.inputs),
+            verdict=verdict,
+            evidence=evidence,
+            config={
+                "enumeration_cutoff": self.config.enumeration_cutoff,
+                "s_cap": self.config.s_cap,
+                "schema_version": CERTIFICATE_SCHEMA_VERSION,
+                "tool_version": TOOL_VERSION,
+            },
+        )
+
+    def not_applicable(self, name: str, gate: str, evidence: dict) -> Certificate:
+        evidence = dict(evidence)
+        evidence["violated_hypothesis"] = gate
+        return self.certificate(name, NOT_APPLICABLE, evidence)
+
+    @property
+    def edge(self) -> tuple[int, int]:
+        return self.graph.edges[0]
+
+    @functools.cached_property
+    def edge_stabilizer(self) -> Group:
+        return self.group.setwise_stabilizer(self.edge)
+
+    @functools.cached_property
+    def arc_stabilizer(self) -> Group:
+        return self.group.pointwise_stabilizer(self.edge)
+
+    @functools.cached_property
+    def vertex_transitive(self) -> bool:
+        return len(self.group.orbit(0)) == self.graph.n
+
+    @property
+    def edge_transitive(self) -> bool:
+        return self.group.order == self.graph.num_edges * self.edge_stabilizer.order
+
+    @property
+    def arc_transitive(self) -> bool:
+        return self.group.order == 2 * self.graph.num_edges * self.arc_stabilizer.order
+
+    @property
+    def edge_primitive(self) -> bool:
+        return is_edge_primitive(self).verdict == PASS
+
+    def local(self, v: int) -> LocalAction:
+        if v not in self._local:
+            self._local[v] = local_action(self.group, self.graph, v)
+        return self._local[v]
+
+    def of_normal(self, normal: Group) -> Analysis:
+        """The analysis of a nontrivial normal subgroup on the same graph,
+        kept per subgroup object so that the pair checks of one subgroup
+        share its normality check and its stabilizers."""
+        if normal not in self._normals:
+            if normal.order == 1:
+                raise ValueError("normal subgroup must be nontrivial")
+            if not is_normal(self.group, normal):
+                raise ValueError("subgroup is not normal")
+            self._normals[normal] = Analysis(normal, self.graph, self.inputs, self.config)
+        return self._normals[normal]
 
 
-def _cert(
-    name: str,
-    verdict: str,
-    evidence: dict,
-    inputs: dict | None,
-    config: RunConfig,
-) -> Certificate:
-    return Certificate(
-        check_name=name,
-        inputs=dict(inputs or {}),
-        verdict=verdict,
-        evidence=evidence,
-        config=_config_snapshot(config),
-    )
+def _once(check):
+    """Compute a graph-level check's certificate once per analysis; later
+    calls, including those from composite checks, return the same one."""
 
+    @functools.wraps(check)
+    def run(analysis: Analysis) -> Certificate:
+        certificates = analysis._certificates
+        if check.__name__ not in certificates:
+            certificates[check.__name__] = check(analysis)
+        return certificates[check.__name__]
 
-def _not_applicable(
-    name: str, gate: str, evidence: dict, inputs: dict | None, config: RunConfig
-) -> Certificate:
-    evidence = dict(evidence)
-    evidence["violated_hypothesis"] = gate
-    return _cert(name, NOT_APPLICABLE, evidence, inputs, config)
-
-
-def _blocks_as_labels(action: Action, system) -> list[list[list[int]]]:
-    return sorted(
-        sorted(list(action.domain_labels[i]) for i in block) for block in system.blocks
-    )
-
-
-def _is_vertex_transitive(group: Group, graph: Graph) -> bool:
-    return len(group.orbit(0)) == graph.n
-
-
-def _arc_count(graph: Graph) -> int:
-    return 2 * graph.num_edges
-
-
-def _is_arc_transitive(group: Group, graph: Graph) -> bool:
-    if graph.num_edges == 0:
-        return False
-    u, v = graph.edges[0]
-    stab = group.pointwise_stabilizer((u, v))
-    return group.order == _arc_count(graph) * stab.order
-
-
-def _is_edge_transitive(group: Group, graph: Graph) -> bool:
-    if graph.num_edges == 0:
-        return False
-    u, v = graph.edges[0]
-    stab = group.setwise_stabilizer((u, v))
-    return group.order == graph.num_edges * stab.order
+    return run
 
 
 # ---------------------------------------------------------------------------
 # Graph-level checks
 
 
-def is_edge_primitive(
-    group: Group,
-    graph: Graph,
-    inputs: dict | None = None,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Certificate:
+@_once
+def is_edge_primitive(analysis: Analysis) -> Certificate:
     """Primitivity of the edge action, with a block witness on failure."""
     name = "edge-primitive"
+    group, graph = analysis.group, analysis.graph
     check_preserves_edges(graph, group)
     if graph.num_edges == 0:
         raise ValueError("graph has no edges")
     evidence: dict = {"edge_count": graph.num_edges, "group_order": group.order}
-    if not _is_edge_transitive(group, graph):
-        return _not_applicable(name, "group is not edge-transitive", evidence, inputs, config)
-    u, v = graph.edges[0]
-    edge_stab = group.setwise_stabilizer((u, v))
-    evidence["edge_stabilizer_order"] = edge_stab.order
+    if not analysis.edge_transitive:
+        return analysis.not_applicable(name, "group is not edge-transitive", evidence)
+    evidence["edge_stabilizer_order"] = analysis.edge_stabilizer.order
     action = act_on_pairs(group, graph.edges)
     evidence["edge_action_kernel_order"] = action.kernel_order
     primitive, witness = is_primitive(action)
@@ -201,20 +242,18 @@ def is_edge_primitive(
         star = is_star(graph)
         evidence["graph_is_star"] = star
         if not star:
-            evidence["arc_transitive"] = _is_arc_transitive(group, graph)
-        return _cert(name, PASS, evidence, inputs, config)
+            evidence["arc_transitive"] = analysis.arc_transitive
+        return analysis.certificate(name, PASS, evidence)
     evidence["witness_block_size"] = witness.block_size
     evidence["witness_num_blocks"] = witness.num_blocks
-    evidence["witness_blocks"] = _blocks_as_labels(action, witness)
-    return _cert(name, FAIL, evidence, inputs, config)
+    evidence["witness_blocks"] = sorted(
+        sorted(list(action.domain_labels[i]) for i in block) for block in witness.blocks
+    )
+    return analysis.certificate(name, FAIL, evidence)
 
 
-def s_transitivity_degree(
-    group: Group,
-    graph: Graph,
-    inputs: dict | None = None,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Certificate:
+@_once
+def s_transitivity_degree(analysis: Analysis) -> Certificate:
     """Largest s <= s_cap with the group transitive on s-arcs.
 
     Transitivity at each s is decided by exact counting: the group is
@@ -222,18 +261,19 @@ def s_transitivity_degree(
     order of one s-arc stabilizer.  No induced group on arcs is built.
     """
     name = "s-degree"
+    group, graph, config = analysis.group, analysis.graph, analysis.config
     check_preserves_edges(graph, group)
     evidence: dict = {"group_order": group.order}
     d = valency(graph)
     if not is_connected(graph):
-        return _not_applicable(name, "graph is disconnected", evidence, inputs, config)
+        return analysis.not_applicable(name, "graph is disconnected", evidence)
     if d is None:
-        return _not_applicable(name, "graph is irregular", evidence, inputs, config)
+        return analysis.not_applicable(name, "graph is irregular", evidence)
     evidence["valency"] = d
     if d < 3:
-        return _not_applicable(name, "valency < 3", evidence, inputs, config)
-    evidence["vertex_transitive"] = _is_vertex_transitive(group, graph)
-    evidence["arc_transitive"] = _is_arc_transitive(group, graph)
+        return analysis.not_applicable(name, "valency < 3", evidence)
+    evidence["vertex_transitive"] = analysis.vertex_transitive
+    evidence["arc_transitive"] = analysis.arc_transitive
 
     def transitive_on_s_arcs(s: int) -> tuple[bool, int, int]:
         count = count_s_arcs(graph, s)
@@ -260,16 +300,12 @@ def s_transitivity_degree(
         evidence["probe_s8_transitive"] = probe
         evidence["weiss_cap_ok"] = degree <= 7 and not probe
         if not evidence["weiss_cap_ok"]:
-            return _cert(name, FAIL, evidence, inputs, config)
-    return _cert(name, PASS, evidence, inputs, config)
+            return analysis.certificate(name, FAIL, evidence)
+    return analysis.certificate(name, PASS, evidence)
 
 
-def local_structure(
-    group: Group,
-    graph: Graph,
-    inputs: dict | None = None,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Certificate:
+@_once
+def local_structure(analysis: Analysis) -> Certificate:
     """Local action orders, kernels, and the group-extension order identity.
 
     Evidence at a vertex v with neighbor u: |G_v|, the local image
@@ -278,65 +314,58 @@ def local_structure(
     |G_v| = |K_uv| * |K_v on nbhd(u)| * |G_v^{nbhd}|.
     """
     name = "local-structure"
+    group, graph = analysis.group, analysis.graph
     check_preserves_edges(graph, group)
-    transitive = _is_vertex_transitive(group, graph)
+    if graph.num_edges == 0:
+        raise ValueError("graph has no edges")
+    transitive = analysis.vertex_transitive
     evidence: dict = {"vertex_transitive": transitive}
     reps = [0] if transitive else [o[0] for o in group.orbits()]
-    per_vertex = {}
-    for v in reps:
-        if not graph.adjacency[v]:
-            continue
-        per_vertex[str(v)] = _local_evidence(group, graph, v)
+    per_vertex = {
+        str(v): _local_evidence(analysis, v) for v in reps if graph.adjacency[v]
+    }
     if transitive:
         evidence.update(per_vertex["0"])
         ok = evidence["extension_identity_ok"] and evidence["arc_kernel_is_p_group"]
-        return _cert(name, PASS if ok else FAIL, evidence, inputs, config)
+        return analysis.certificate(name, PASS if ok else FAIL, evidence)
     evidence["per_vertex"] = per_vertex
-    return _not_applicable(
-        name, "group is not vertex-transitive", evidence, inputs, config
-    )
+    return analysis.not_applicable(name, "group is not vertex-transitive", evidence)
 
 
-def _local_evidence(group: Group, graph: Graph, v: int) -> dict:
-    nbrs = graph.adjacency[v]
-    u = nbrs[0]
-    stab = group.point_stabilizer(v)
-    local = restrict_to_invariant_set(stab, nbrs)
-    kernel_v = group.pointwise_stabilizer((v,) + nbrs)
-    both = sorted(set(graph.adjacency[u]) | set(graph.adjacency[v]))
-    kernel_uv = group.pointwise_stabilizer(both)
-    kernel_v_on_u = restrict_to_invariant_set(kernel_v, graph.adjacency[u])
+def _local_evidence(analysis: Analysis, v: int) -> dict:
+    graph = analysis.graph
+    u = graph.adjacency[v][0]
+    local = analysis.local(v)
+    stab, image = local.action.group, local.action.image
+    kernel_uv = arc_kernel(analysis.group, graph, u, v)
+    kernel_v_on_u = restrict_to_invariant_set(local.kernel, graph.adjacency[u])
     p_group, prime = is_p_group(kernel_uv)
     out: dict = {
         "vertex": v,
         "neighbor": u,
         "order_vertex_stabilizer": stab.order,
-        "order_local_image": local.image.order,
-        "order_vertex_kernel": kernel_v.order,
+        "order_local_image": image.order,
+        "order_vertex_kernel": local.kernel.order,
         "order_arc_kernel": kernel_uv.order,
         "order_vertex_kernel_on_other_side": kernel_v_on_u.image.order,
         "arc_kernel_is_p_group": p_group,
         "arc_kernel_prime": prime,
     }
-    if local.domain_size >= 2 and is_transitive(local):
-        primitive, _w = is_primitive(local)
+    if local.action.domain_size >= 2 and is_transitive(local.action):
+        primitive, _w = is_primitive(local.action)
         out["locally_primitive"] = primitive
-        out["locally_2_transitive"] = is_k_transitive(local, 2)
+        out["locally_2_transitive"] = is_k_transitive(local.action, 2)
     else:
-        out["locally_primitive"] = local.domain_size < 2
+        out["locally_primitive"] = local.action.domain_size < 2
         out["locally_2_transitive"] = False
     out["extension_identity_ok"] = (
-        stab.order
-        == kernel_uv.order * kernel_v_on_u.image.order * local.image.order
+        stab.order == kernel_uv.order * kernel_v_on_u.image.order * image.order
     )
     return out
 
 
-def almost_simple_certificate(
-    group: Group,
-    inputs: dict | None = None,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Certificate:
+@_once
+def almost_simple_certificate(analysis: Analysis) -> Certificate:
     """Simple perfect core with trivial centralizer.
 
     This certifies T <= G <= Aut(T) for a nonabelian simple T: the perfect
@@ -344,110 +373,100 @@ def almost_simple_certificate(
     triviality, which pins G into the automorphism group of its socle.
     """
     name = "almost-simple"
+    group, cutoff = analysis.group, analysis.config.enumeration_cutoff
     evidence: dict = {"group_order": group.order}
     reduced = reduce_generators(group)
     core = reduce_generators(perfect_core(reduced))
     evidence["core_order"] = core.order
     if core.order == 1:
         evidence["core_simple"] = False
-        return _cert(name, FAIL, evidence, inputs, config)
+        return analysis.certificate(name, FAIL, evidence)
     evidence["core_index"] = group.order // core.order
     try:
-        simple = is_simple(core, config.enumeration_cutoff)
+        simple = is_simple(core, cutoff)
     except ScaleLimitError as exc:
         evidence["scale_limit"] = str(exc)
-        return _cert(name, SCALE_LIMIT, evidence, inputs, config)
+        return analysis.certificate(name, SCALE_LIMIT, evidence)
     evidence["core_simple"] = simple
     if not simple:
-        return _cert(name, FAIL, evidence, inputs, config)
+        return analysis.certificate(name, FAIL, evidence)
     normal = is_normal(reduced, core)
     evidence["core_normal"] = normal
     try:
-        cent = centralizer(reduced, core, config.enumeration_cutoff)
+        cent = centralizer(reduced, core, cutoff)
     except ScaleLimitError as exc:
         evidence["scale_limit"] = str(exc)
-        return _cert(name, SCALE_LIMIT, evidence, inputs, config)
+        return analysis.certificate(name, SCALE_LIMIT, evidence)
     evidence["centralizer_order"] = cent.order
     verdict = PASS if normal and cent.order == 1 else FAIL
-    return _cert(name, verdict, evidence, inputs, config)
+    return analysis.certificate(name, verdict, evidence)
 
 
-def main_theorem_check(
-    group: Group,
-    graph: Graph,
-    inputs: dict | None = None,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Certificate:
+@_once
+def main_theorem_check(analysis: Analysis) -> Certificate:
     """Edge-primitive plus 2-arc-transitive forces complete bipartite or
     almost simple; verify whichever branch applies.  A fixture satisfying
     the hypotheses with neither branch is a genuine counterexample and
     yields fail."""
     name = "main-theorem"
-    evidence: dict = {"group_order": group.order}
+    graph = analysis.graph
+    evidence: dict = {"group_order": analysis.group.order}
     d = valency(graph)
     if d is None or d < 3 or not is_connected(graph):
-        return _not_applicable(
-            name, "graph is not connected d-regular with d >= 3", evidence, inputs, config
+        return analysis.not_applicable(
+            name, "graph is not connected d-regular with d >= 3", evidence
         )
     evidence["valency"] = d
-    ep = is_edge_primitive(group, graph, inputs, config)
-    evidence["edge_primitive"] = ep.verdict == PASS
-    if ep.verdict != PASS:
-        return _not_applicable(name, "not edge-primitive", evidence, inputs, config)
-    sd = s_transitivity_degree(group, graph, inputs, config)
+    evidence["edge_primitive"] = analysis.edge_primitive
+    if not evidence["edge_primitive"]:
+        return analysis.not_applicable(name, "not edge-primitive", evidence)
+    sd = s_transitivity_degree(analysis)
     degree = sd.evidence.get("s_degree", 0)
     evidence["s_degree"] = degree
     if sd.verdict != PASS or degree < 2:
-        return _not_applicable(name, "not 2-arc-transitive", evidence, inputs, config)
+        return analysis.not_applicable(name, "not 2-arc-transitive", evidence)
     if is_complete_bipartite(graph):
         evidence["branch"] = "complete-bipartite"
-        return _cert(name, PASS, evidence, inputs, config)
-    asc = almost_simple_certificate(group, inputs, config)
+        return analysis.certificate(name, PASS, evidence)
+    asc = almost_simple_certificate(analysis)
     evidence["branch"] = "almost-simple"
     evidence["almost_simple"] = asc.verdict == PASS
     evidence["core_order"] = asc.evidence.get("core_order")
     if asc.verdict == SCALE_LIMIT:
-        return _cert(name, SCALE_LIMIT, evidence, inputs, config)
-    return _cert(name, PASS if asc.verdict == PASS else FAIL, evidence, inputs, config)
+        return analysis.certificate(name, SCALE_LIMIT, evidence)
+    return analysis.certificate(name, PASS if asc.verdict == PASS else FAIL, evidence)
 
 
-def prime_valency_check(
-    group: Group,
-    graph: Graph,
-    inputs: dict | None = None,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Certificate:
+@_once
+def prime_valency_check(analysis: Analysis) -> Certificate:
     """For prime valency: 2-arc-transitive, or the complete-graph branch
     with the projective-linear order and valency > 11."""
     name = "prime-valency"
+    group, graph = analysis.group, analysis.graph
     evidence: dict = {"group_order": group.order}
     d = valency(graph)
     evidence["valency"] = d
     if d is None or prime_factors(d) != [d]:
-        return _not_applicable(name, "valency is not prime", evidence, inputs, config)
-    ep = is_edge_primitive(group, graph, inputs, config)
-    evidence["edge_primitive"] = ep.verdict == PASS
-    if ep.verdict != PASS:
-        return _not_applicable(name, "not edge-primitive", evidence, inputs, config)
+        return analysis.not_applicable(name, "valency is not prime", evidence)
+    evidence["edge_primitive"] = analysis.edge_primitive
+    if not evidence["edge_primitive"]:
+        return analysis.not_applicable(name, "not edge-primitive", evidence)
     if is_complete_bipartite(graph):
-        return _not_applicable(
-            name, "graph is complete bipartite", evidence, inputs, config
-        )
-    sd = s_transitivity_degree(group, graph, inputs, config)
-    degree = sd.evidence.get("s_degree", 0)
+        return analysis.not_applicable(name, "graph is complete bipartite", evidence)
+    degree = s_transitivity_degree(analysis).evidence.get("s_degree", 0)
     evidence["s_degree"] = degree
     if degree >= 2:
         evidence["branch"] = "2-arc-transitive"
-        return _cert(name, PASS, evidence, inputs, config)
+        return analysis.certificate(name, PASS, evidence)
     evidence["branch"] = "complete-graph"
     complete = is_complete(graph) and graph.n == d + 1
     evidence["graph_is_complete_d_plus_1"] = complete
     expected_order = d * (d * d - 1) // 2
     evidence["order_matches_psl2"] = group.order == expected_order
     evidence["valency_greater_11"] = d > 11
-    asc = almost_simple_certificate(group, inputs, config)
+    asc = almost_simple_certificate(analysis)
     if asc.verdict == SCALE_LIMIT:
-        return _cert(name, SCALE_LIMIT, evidence, inputs, config)
+        return analysis.certificate(name, SCALE_LIMIT, evidence)
     evidence["almost_simple"] = asc.verdict == PASS
     ok = (
         complete
@@ -455,7 +474,7 @@ def prime_valency_check(
         and d > 11
         and asc.verdict == PASS
     )
-    return _cert(name, PASS if ok else FAIL, evidence, inputs, config)
+    return analysis.certificate(name, PASS if ok else FAIL, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +494,8 @@ def _reference_fingerprint(which: str, cutoff: int) -> GroupFingerprint:
     return fingerprint(build_group(gens), cutoff)
 
 
-def three_arc_criterion(
-    group: Group,
-    graph: Graph,
-    inputs: dict | None = None,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Certificate:
+@_once
+def three_arc_criterion(analysis: Analysis) -> Certificate:
     """For 2-arc-transitive groups with faithful vertex stabilizers:
     3-arc-transitivity holds iff the valency is 7, the vertex stabilizer
     has alternating-7 core, and the edge stabilizer is not symmetric-6.
@@ -491,103 +506,84 @@ def three_arc_criterion(
     undecidable when the fingerprints tie, which downgrades to scale-limit.
     """
     name = "three-arc"
-    evidence: dict = {"group_order": group.order}
+    graph, cutoff = analysis.graph, analysis.config.enumeration_cutoff
+    evidence: dict = {"group_order": analysis.group.order}
     d = valency(graph)
     evidence["valency"] = d
     if d is None or d < 3 or not is_connected(graph):
-        return _not_applicable(
-            name, "graph is not connected d-regular with d >= 3", evidence, inputs, config
+        return analysis.not_applicable(
+            name, "graph is not connected d-regular with d >= 3", evidence
         )
-    sd = s_transitivity_degree(group, graph, inputs, config)
+    sd = s_transitivity_degree(analysis)
     degree = sd.evidence.get("s_degree", 0)
     evidence["s_degree"] = degree
     if sd.verdict != PASS or degree < 2:
-        return _not_applicable(name, "not 2-arc-transitive", evidence, inputs, config)
-    v = 0
-    nbrs = graph.adjacency[v]
-    kernel_v = group.pointwise_stabilizer((v,) + nbrs)
-    evidence["order_vertex_kernel"] = kernel_v.order
-    if kernel_v.order != 1:
-        return _not_applicable(
-            name, "vertex stabilizer is not faithful on the neighborhood",
-            evidence, inputs, config,
+        return analysis.not_applicable(name, "not 2-arc-transitive", evidence)
+    local = analysis.local(0)
+    evidence["order_vertex_kernel"] = local.kernel.order
+    if local.kernel.order != 1:
+        return analysis.not_applicable(
+            name, "vertex stabilizer is not faithful on the neighborhood", evidence
         )
     left = degree >= 3
     evidence["three_arc_transitive"] = left
 
-    stab = group.point_stabilizer(v)
+    stab = local.action.group
     evidence["order_vertex_stabilizer"] = stab.order
     core = perfect_core(reduce_generators(stab))
     evidence["order_vertex_stabilizer_core"] = core.order
-    u, w = graph.edges[0]
-    edge_stab = group.setwise_stabilizer((u, w))
+    edge_stab = analysis.edge_stabilizer
     evidence["order_edge_stabilizer"] = edge_stab.order
 
     if d != 7:
         right = False
         evidence["right_side"] = right
     else:
-        core_fp = fingerprint(core, config.enumeration_cutoff)
-        alt7_match = core_fp == _reference_fingerprint("alt7", config.enumeration_cutoff)
+        core_fp = fingerprint(core, cutoff)
+        alt7_match = core_fp == _reference_fingerprint("alt7", cutoff)
         evidence["vertex_core_matches_alt7"] = alt7_match
         if not alt7_match:
             right = False
         else:
-            edge_fp = fingerprint(edge_stab, config.enumeration_cutoff)
-            sym6_tie = edge_fp == _reference_fingerprint("sym6", config.enumeration_cutoff)
+            edge_fp = fingerprint(edge_stab, cutoff)
+            sym6_tie = edge_fp == _reference_fingerprint("sym6", cutoff)
             evidence["edge_stabilizer_differs_from_sym6"] = not sym6_tie
             if sym6_tie:
                 # Equal fingerprints cannot certify non-isomorphism.
                 evidence["scale_limit"] = "fingerprint tie with symmetric-6 reference"
-                return _cert(name, SCALE_LIMIT, evidence, inputs, config)
+                return analysis.certificate(name, SCALE_LIMIT, evidence)
             right = True
         evidence["right_side"] = right
     verdict = PASS if left == right else FAIL
     evidence["sides_agree"] = left == right
-    return _cert(name, verdict, evidence, inputs, config)
+    return analysis.certificate(name, verdict, evidence)
 
 
 # ---------------------------------------------------------------------------
 # (group, normal subgroup) checks
 
 
-def _check_normal_pair(group: Group, sub: Group) -> None:
-    if sub.order == 1:
-        raise ValueError("normal subgroup must be nontrivial")
-    if not is_normal(group, sub):
-        raise ValueError("subgroup is not normal")
-
-
-def counting_identity_check(
-    group: Group,
-    normal: Group,
-    graph: Graph,
-    inputs: dict | None = None,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Certificate:
+def counting_identity_check(analysis: Analysis, normal: Group) -> Certificate:
     """Exact stabilizer-order identities for a nontrivial normal subgroup
     of an edge-primitive group: 2|N_v| = d|N_edge| in the vertex-transitive
     case, |N_v| = d|N_edge| = d|N_arc| otherwise; and N_v is neither trivial
     nor the whole edge stabilizer."""
     name = "counting"
-    _check_normal_pair(group, normal)
+    sub = analysis.of_normal(normal)
     evidence: dict = {
-        "group_order": group.order,
+        "group_order": analysis.group.order,
         "normal_order": normal.order,
     }
-    ep = is_edge_primitive(group, graph, inputs, config)
-    if ep.verdict != PASS:
-        return _not_applicable(name, "group is not edge-primitive", evidence, inputs, config)
-    d = valency(graph)
+    if not analysis.edge_primitive:
+        return analysis.not_applicable(name, "group is not edge-primitive", evidence)
+    d = valency(analysis.graph)
     evidence["valency"] = d
-    u, v = graph.edges[0]
-    n_v = normal.point_stabilizer(v)
-    n_uv = normal.pointwise_stabilizer((u, v))
-    n_edge = normal.setwise_stabilizer((u, v))
+    n_v = normal.point_stabilizer(sub.edge[1])
+    n_uv, n_edge = sub.arc_stabilizer, sub.edge_stabilizer
     evidence["order_Nv"] = n_v.order
     evidence["order_N_arc"] = n_uv.order
     evidence["order_N_edge"] = n_edge.order
-    transitive = _is_vertex_transitive(normal, graph)
+    transitive = sub.vertex_transitive
     evidence["normal_vertex_transitive"] = transitive
     if transitive:
         evidence["identity"] = f"2*{n_v.order} == {d}*{n_edge.order}"
@@ -599,81 +595,61 @@ def counting_identity_check(
     evidence["Nv_nontrivial"] = n_v.order > 1
     evidence["Nv_differs_from_N_edge"] = not same_subgroup(n_v, n_edge)
     ok = identity_ok and evidence["Nv_nontrivial"] and evidence["Nv_differs_from_N_edge"]
-    return _cert(name, PASS if ok else FAIL, evidence, inputs, config)
+    return analysis.certificate(name, PASS if ok else FAIL, evidence)
 
 
-def selfnorm_check(
-    group: Group,
-    normal: Group,
-    graph: Graph,
-    inputs: dict | None = None,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Certificate:
+def selfnorm_check(analysis: Analysis, normal: Group) -> Certificate:
     """Either the graph is complete bipartite, or the arc stabilizer in the
     normal subgroup is nontrivial and the edge stabilizer self-normalized."""
     name = "selfnorm"
-    _check_normal_pair(group, normal)
+    sub = analysis.of_normal(normal)
     evidence: dict = {
-        "group_order": group.order,
+        "group_order": analysis.group.order,
         "normal_order": normal.order,
     }
-    ep = is_edge_primitive(group, graph, inputs, config)
-    if ep.verdict != PASS:
-        return _not_applicable(name, "group is not edge-primitive", evidence, inputs, config)
-    if is_complete_bipartite(graph):
+    if not analysis.edge_primitive:
+        return analysis.not_applicable(name, "group is not edge-primitive", evidence)
+    if is_complete_bipartite(analysis.graph):
         evidence["branch"] = "complete-bipartite"
-        return _cert(name, PASS, evidence, inputs, config)
+        return analysis.certificate(name, PASS, evidence)
     evidence["branch"] = "self-normalized"
-    u, v = graph.edges[0]
-    n_uv = normal.pointwise_stabilizer((u, v))
-    n_edge = normal.setwise_stabilizer((u, v))
+    n_uv, n_edge = sub.arc_stabilizer, sub.edge_stabilizer
     evidence["order_N_arc"] = n_uv.order
     evidence["order_N_edge"] = n_edge.order
     evidence["N_arc_nontrivial"] = n_uv.order > 1
     try:
-        norm = normalizer(normal, n_edge, config.enumeration_cutoff)
+        norm = normalizer(normal, n_edge, analysis.config.enumeration_cutoff)
     except ScaleLimitError as exc:
         evidence["scale_limit"] = str(exc)
-        return _cert(name, SCALE_LIMIT, evidence, inputs, config)
+        return analysis.certificate(name, SCALE_LIMIT, evidence)
     evidence["normalizer_order"] = norm.order
     evidence["self_normalized"] = same_subgroup(norm, n_edge)
     ok = evidence["N_arc_nontrivial"] and evidence["self_normalized"]
-    return _cert(name, PASS if ok else FAIL, evidence, inputs, config)
+    return analysis.certificate(name, PASS if ok else FAIL, evidence)
 
 
-def sylow_arc_check(
-    group: Group,
-    normal: Group,
-    graph: Graph,
-    inputs: dict | None = None,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Certificate:
+def sylow_arc_check(analysis: Analysis, normal: Group) -> Certificate:
     """Normal Sylow subgroups of the edge stabilizer are full Sylow
     subgroups of the normal subgroup; the edge stabilizer is nonabelian;
     and an abelian arc stabilizer forces arc-transitivity."""
     name = "sylow-arc"
-    _check_normal_pair(group, normal)
+    sub = analysis.of_normal(normal)
     evidence: dict = {
-        "group_order": group.order,
+        "group_order": analysis.group.order,
         "normal_order": normal.order,
     }
-    ep = is_edge_primitive(group, graph, inputs, config)
-    if ep.verdict != PASS:
-        return _not_applicable(name, "group is not edge-primitive", evidence, inputs, config)
-    if is_complete_bipartite(graph):
-        return _not_applicable(
-            name, "graph is complete bipartite", evidence, inputs, config
-        )
-    u, v = graph.edges[0]
-    n_uv = normal.pointwise_stabilizer((u, v))
-    n_edge = normal.setwise_stabilizer((u, v))
+    if not analysis.edge_primitive:
+        return analysis.not_applicable(name, "group is not edge-primitive", evidence)
+    if is_complete_bipartite(analysis.graph):
+        return analysis.not_applicable(name, "graph is complete bipartite", evidence)
+    n_uv, n_edge = sub.arc_stabilizer, sub.edge_stabilizer
     evidence["order_N_arc"] = n_uv.order
     evidence["order_N_edge"] = n_edge.order
     sylow_rows = []
     all_ok = True
     try:
         for p in prime_factors(n_edge.order):
-            syl = sylow_subgroup(n_edge, p, config.enumeration_cutoff)
+            syl = sylow_subgroup(n_edge, p, analysis.config.enumeration_cutoff)
             normal_in_stab = is_normal(n_edge, syl)
             row = {
                 "prime": p,
@@ -688,7 +664,7 @@ def sylow_arc_check(
             sylow_rows.append(row)
     except ScaleLimitError as exc:
         evidence["scale_limit"] = str(exc)
-        return _cert(name, SCALE_LIMIT, evidence, inputs, config)
+        return analysis.certificate(name, SCALE_LIMIT, evidence)
     evidence["sylow_rows"] = sylow_rows
     nonabelian = not is_abelian(n_edge)
     evidence["N_edge_nonabelian"] = nonabelian
@@ -696,18 +672,13 @@ def sylow_arc_check(
     arc_abelian = is_abelian(n_uv)
     evidence["N_arc_abelian"] = arc_abelian
     if arc_abelian:
-        arc_trans = normal.order == _arc_count(graph) * n_uv.order
+        arc_trans = sub.arc_transitive
         evidence["normal_arc_transitive"] = arc_trans
         all_ok = all_ok and arc_trans
-    return _cert(name, PASS if all_ok else FAIL, evidence, inputs, config)
+    return analysis.certificate(name, PASS if all_ok else FAIL, evidence)
 
 
-def affine_normal_check(
-    group: Group,
-    normal: Group,
-    inputs: dict | None = None,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Certificate:
+def affine_normal_check(analysis: Analysis, normal: Group) -> Certificate:
     """For a 2-transitive affine group: an imprimitive nontrivial normal
     subgroup is a soluble Frobenius group with cyclic point stabilizer.
 
@@ -717,7 +688,8 @@ def affine_normal_check(
     rather than judged.
     """
     name = "affine-normal"
-    _check_normal_pair(group, normal)
+    group = analysis.group
+    analysis.of_normal(normal)  # rejects a trivial or non-normal subgroup
     evidence: dict = {
         "group_order": group.order,
         "normal_order": normal.order,
@@ -726,42 +698,28 @@ def affine_normal_check(
     }
     nat = restrict_to_invariant_set(group, range(group.degree))
     if not is_k_transitive(nat, 2):
-        return _not_applicable(name, "group is not 2-transitive", evidence, inputs, config)
+        return analysis.not_applicable(name, "group is not 2-transitive", evidence)
     n_nat = restrict_to_invariant_set(normal, range(group.degree))
     if not is_transitive(n_nat):
-        return _not_applicable(
-            name, "normal subgroup is intransitive", evidence, inputs, config
-        )
+        return analysis.not_applicable(name, "normal subgroup is intransitive", evidence)
     stab = normal.point_stabilizer(0)
     evidence["order_N0"] = stab.order
     if stab.order == 1:
-        return _not_applicable(
-            name, "normal subgroup is regular", evidence, inputs, config
-        )
+        return analysis.not_applicable(name, "normal subgroup is regular", evidence)
     primitive, witness = is_primitive(n_nat)
     evidence["normal_primitive"] = primitive
     if primitive:
-        return _not_applicable(
-            name, "normal subgroup is primitive", evidence, inputs, config
-        )
+        return analysis.not_applicable(name, "normal subgroup is primitive", evidence)
     evidence["witness_block_size"] = witness.block_size
     evidence["soluble"] = is_soluble(normal)
     evidence["frobenius"] = is_frobenius(n_nat)
     try:
-        evidence["stabilizer_cyclic"] = is_cyclic(stab, config.enumeration_cutoff)
+        evidence["stabilizer_cyclic"] = is_cyclic(stab, analysis.config.enumeration_cutoff)
     except ScaleLimitError as exc:
         evidence["scale_limit"] = str(exc)
-        return _cert(name, SCALE_LIMIT, evidence, inputs, config)
+        return analysis.certificate(name, SCALE_LIMIT, evidence)
     ok = evidence["soluble"] and evidence["frobenius"] and evidence["stabilizer_cyclic"]
-    return _cert(name, PASS if ok else FAIL, evidence, inputs, config)
-
-
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
+    return analysis.certificate(name, PASS if ok else FAIL, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +737,6 @@ class SuiteRow:
 
 
 def _graph_fixture_builders() -> dict:
-    from .graphs import automorphism_group
     from .families import (
         complete_bipartite,
         complete_graph,
@@ -870,7 +827,9 @@ def run_lemma_suite(
     """Run the requested lemma suites over the fixture manifest.
 
     Fixture files are generated on demand into the configured directory so
-    certificates can reference immutable inputs by content hash.
+    certificates can reference immutable inputs by content hash.  Each
+    fixture gets one :class:`Analysis`, so its rows share edge-primitivity
+    and the stabilizers of each normal subgroup.
     """
     wanted = list(suites) if suites else list(SUITE_NAMES)
     for s in wanted:
@@ -881,26 +840,28 @@ def run_lemma_suite(
     if pair_suites or "weiss" in wanted:
         for name in _graph_fixture_builders():
             graph, group, inputs = _ensure_graph_fixture(name, config)
+            analysis = Analysis(group, graph, inputs, config)
             if "weiss" in wanted:
-                cert = s_transitivity_degree(group, graph, inputs, config)
+                cert = s_transitivity_degree(analysis)
                 rows.append(SuiteRow(name, "weiss", "G", cert))
             if pair_suites:
                 for normal in _harvest_normal_subgroups(group):
                     subject = f"N(order={normal.order})"
                     if "counting" in wanted:
-                        cert = counting_identity_check(group, normal, graph, inputs, config)
+                        cert = counting_identity_check(analysis, normal)
                         rows.append(SuiteRow(name, "counting", subject, cert))
                     if "selfnorm" in wanted:
-                        cert = selfnorm_check(group, normal, graph, inputs, config)
+                        cert = selfnorm_check(analysis, normal)
                         rows.append(SuiteRow(name, "selfnorm", subject, cert))
                     if "sylow" in wanted:
-                        cert = sylow_arc_check(group, normal, graph, inputs, config)
+                        cert = sylow_arc_check(analysis, normal)
                         rows.append(SuiteRow(name, "sylow", subject, cert))
     if "affine" in wanted:
         for name in _affine_fixture_builders():
             group, inputs = _ensure_affine_fixture(name, config)
+            analysis = Analysis(group, None, inputs, config)
             for normal in _harvest_normal_subgroups(group):
                 subject = f"N(order={normal.order})"
-                cert = affine_normal_check(group, normal, inputs, config)
+                cert = affine_normal_check(analysis, normal)
                 rows.append(SuiteRow(name, "affine", subject, cert))
     return rows

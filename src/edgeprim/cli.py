@@ -34,6 +34,7 @@ from .certify import (
     FAIL,
     NOT_APPLICABLE,
     SCALE_LIMIT,
+    Analysis,
     Certificate,
     RunConfig,
     SUITE_NAMES,
@@ -68,7 +69,7 @@ CHECKS = {
     "edge-primitive": is_edge_primitive,
     "s-degree": s_transitivity_degree,
     "local-structure": local_structure,
-    "almost-simple": None,  # group-only; handled specially
+    "almost-simple": almost_simple_certificate,
     "main-theorem": main_theorem_check,
     "prime-valency": prime_valency_check,
     "three-arc": three_arc_criterion,
@@ -205,13 +206,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
         print("known checks: " + ", ".join(sorted(CHECKS)), file=sys.stderr)
         return EXIT_USAGE
-    certs = []
+    analysis = Analysis(group, graph, inputs, config)
     try:
-        for name in check_names:
-            if name == "almost-simple":
-                certs.append(almost_simple_certificate(group, inputs, config))
-            else:
-                certs.append(CHECKS[name](group, graph, inputs, config))
+        certs = [CHECKS[name](analysis) for name in check_names]
     except ScaleLimitError as exc:
         print(f"scale limit: {exc}", file=sys.stderr)
         return EXIT_SCALE_LIMIT

@@ -20,6 +20,7 @@ from .groups import (
 )
 from .actions import Action, CosetTable
 from .graphs import Graph, build_graph
+from .structure import _is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +207,6 @@ class FiniteField:
 
     def frobenius(self, a: tuple[int, ...]) -> tuple[int, ...]:
         return self.power(a, self.p)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def gf(p: int, k: int = 1) -> FiniteField:

@@ -10,6 +10,7 @@ import random
 import time
 
 from edgeprim import (
+    Analysis,
     RunConfig,
     automorphism_group,
     build_graph,
@@ -54,24 +55,24 @@ def test_criterion_1_hoffman_singleton_pipeline():
     aut = automorphism_group(graph)
     assert aut.order == 252000
 
-    edge_cert = is_edge_primitive(aut, graph)
+    edge_cert = is_edge_primitive(Analysis(aut, graph))
     assert edge_cert.verdict == PASS
     assert edge_cert.evidence["edge_count"] == 175
     assert edge_cert.evidence["edge_stabilizer_order"] == 1440
 
-    s_cert = s_transitivity_degree(aut, graph)
+    s_cert = s_transitivity_degree(Analysis(aut, graph))
     assert s_cert.evidence["s_degree"] == 3
 
-    local_cert = local_structure(aut, graph)
+    local_cert = local_structure(Analysis(aut, graph))
     assert local_cert.evidence["order_vertex_kernel"] == 1
 
-    cert_full = three_arc_criterion(aut, graph)
+    cert_full = three_arc_criterion(Analysis(aut, graph))
     assert cert_full.verdict == PASS
     assert cert_full.evidence["order_vertex_stabilizer"] == 5040
     assert cert_full.evidence["order_edge_stabilizer"] == 1440
 
     core = reduce_generators(perfect_core(reduce_generators(aut)))
-    cert_core = three_arc_criterion(core, graph)
+    cert_core = three_arc_criterion(Analysis(core, graph))
     assert cert_core.verdict == PASS
     assert cert_core.evidence["order_vertex_stabilizer"] == 2520
     assert cert_core.evidence["order_edge_stabilizer"] == 720
@@ -82,12 +83,12 @@ def test_criterion_1_hoffman_singleton_pipeline():
 
 def test_criterion_2_main_theorem_instances(hs_graph, hs_aut):
     verdicts = {}
-    cert = main_theorem_check(hs_aut, hs_graph)
+    cert = main_theorem_check(Analysis(hs_aut, hs_graph))
     verdicts["hs"] = (cert.verdict, cert.evidence["branch"])
-    cert = main_theorem_check(pgl2(7), complete_graph(8))
+    cert = main_theorem_check(Analysis(pgl2(7), complete_graph(8)))
     verdicts["k8"] = (cert.verdict, cert.evidence["branch"])
     k33 = complete_bipartite(3)
-    cert = main_theorem_check(automorphism_group(k33), k33)
+    cert = main_theorem_check(Analysis(automorphism_group(k33), k33))
     verdicts["k33"] = (cert.verdict, cert.evidence["branch"])
     ok = (
         verdicts["hs"] == (PASS, "almost-simple")
@@ -101,15 +102,15 @@ def test_criterion_3_prime_valency_fixtures():
     g13 = psl2(13)
     k14 = complete_graph(14)
     assert g13.order == 1092
-    ep = is_edge_primitive(g13, k14)
-    sd = s_transitivity_degree(g13, k14)
+    ep = is_edge_primitive(Analysis(g13, k14))
+    sd = s_transitivity_degree(Analysis(g13, k14))
     ok_k14 = ep.verdict == PASS and sd.evidence["s_degree"] == 1
 
     hw = heawood()
     aut = automorphism_group(hw)
-    ep_hw = is_edge_primitive(aut, hw)
-    sd_hw = s_transitivity_degree(aut, hw)
-    lc = local_structure(aut, hw)
+    ep_hw = is_edge_primitive(Analysis(aut, hw))
+    sd_hw = s_transitivity_degree(Analysis(aut, hw))
+    lc = local_structure(Analysis(aut, hw))
     ok_hw = (
         ep_hw.verdict == PASS
         and sd_hw.evidence["s_degree"] == 4
@@ -123,7 +124,7 @@ def test_criterion_3_prime_valency_fixtures():
 def test_criterion_4_petersen_negative_control():
     pet = petersen()
     aut = automorphism_group(pet)
-    cert = is_edge_primitive(aut, pet)
+    cert = is_edge_primitive(Analysis(aut, pet))
     ok = (
         aut.order == 120
         and cert.verdict == "fail"
@@ -224,7 +225,7 @@ def test_criterion_7_weiss_cap(tmp_path, hs_graph, hs_aut):
             assert ev["probe_s8_transitive"] is False
             assert ev["weiss_cap_ok"] is True
     # The direct engine probe on the strongest fixture also stays below 8.
-    cert = s_transitivity_degree(hs_aut, hs_graph)
+    cert = s_transitivity_degree(Analysis(hs_aut, hs_graph))
     assert cert.evidence["probe_s8_transitive"] is False
     _report(7, len(two_arc_rows) >= 3, f"2-arc-transitive fixtures capped: {two_arc_rows}")
 

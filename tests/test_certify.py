@@ -1,6 +1,7 @@
 import pytest
 
 from edgeprim import (
+    Analysis,
     RunConfig,
     affine_normal_check,
     agammal1,
@@ -46,7 +47,7 @@ def test_petersen_edge_primitive_fails_with_witness():
     g = petersen()
     aut = automorphism_group(g)
     assert aut.order == 120
-    cert = is_edge_primitive(aut, g)
+    cert = is_edge_primitive(Analysis(aut, g))
     assert cert.verdict == FAIL
     assert cert.evidence["witness_block_size"] in (3, 5)
     blocks = cert.evidence["witness_blocks"]
@@ -55,7 +56,7 @@ def test_petersen_edge_primitive_fails_with_witness():
 
 def test_heawood_edge_primitive_passes():
     g = heawood()
-    cert = is_edge_primitive(automorphism_group(g), g)
+    cert = is_edge_primitive(Analysis(automorphism_group(g), g))
     assert cert.verdict == PASS
     assert cert.evidence["edge_stabilizer_order"] == 16
     assert cert.evidence["arc_transitive"] is True
@@ -66,7 +67,7 @@ def test_edge_primitive_requires_edge_transitivity():
 
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     aut = automorphism_group(g)
-    cert = is_edge_primitive(aut, g)
+    cert = is_edge_primitive(Analysis(aut, g))
     assert cert.verdict == NOT_APPLICABLE
 
 
@@ -75,32 +76,32 @@ def test_edge_primitive_requires_edge_transitivity():
 
 def test_cycle_not_applicable():
     g = cycle_graph(8)
-    cert = s_transitivity_degree(automorphism_group(g), g)
+    cert = s_transitivity_degree(Analysis(automorphism_group(g), g))
     assert cert.verdict == NOT_APPLICABLE
     assert "valency" in cert.evidence["violated_hypothesis"]
 
 
 def test_heawood_s_degree_4():
     g = heawood()
-    cert = s_transitivity_degree(automorphism_group(g), g)
+    cert = s_transitivity_degree(Analysis(automorphism_group(g), g))
     assert cert.evidence["s_degree"] == 4
 
 
 def test_k14_s_degree_1():
-    cert = s_transitivity_degree(psl2(13), complete_graph(14))
+    cert = s_transitivity_degree(Analysis(psl2(13), complete_graph(14)))
     assert cert.evidence["s_degree"] == 1
 
 
 def test_k4_s_degree_2_under_full_aut():
     k4 = complete_graph(4)
-    cert = s_transitivity_degree(automorphism_group(k4), k4)
+    cert = s_transitivity_degree(Analysis(automorphism_group(k4), k4))
     assert cert.evidence["s_degree"] == 2
 
 
 def test_s_cap_config():
     hw = heawood()
     cert = s_transitivity_degree(
-        automorphism_group(hw), hw, config=RunConfig(s_cap=3)
+        Analysis(automorphism_group(hw), hw, config=RunConfig(s_cap=3))
     )
     assert cert.evidence["s_degree"] == 3  # capped below the true value 4
 
@@ -110,7 +111,7 @@ def test_s_cap_config():
 
 def test_local_structure_k5():
     k5 = complete_graph(5)
-    cert = local_structure(automorphism_group(k5), k5)
+    cert = local_structure(Analysis(automorphism_group(k5), k5))
     assert cert.verdict == PASS
     assert cert.evidence["locally_2_transitive"]
     assert cert.evidence["order_vertex_kernel"] == 1
@@ -119,7 +120,7 @@ def test_local_structure_k5():
 
 def test_local_structure_heawood_matches_extension_identity():
     hw = heawood()
-    cert = local_structure(automorphism_group(hw), hw)
+    cert = local_structure(Analysis(automorphism_group(hw), hw))
     assert cert.verdict == PASS
     e = cert.evidence
     assert e["order_vertex_stabilizer"] == 24
@@ -138,7 +139,7 @@ def test_local_structure_intransitive_not_applicable():
     from edgeprim import build_graph
 
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    cert = local_structure(automorphism_group(g), g)
+    cert = local_structure(Analysis(automorphism_group(g), g))
     assert cert.verdict == NOT_APPLICABLE
     assert "per_vertex" in cert.evidence
 
@@ -147,19 +148,19 @@ def test_local_structure_intransitive_not_applicable():
 
 
 def test_almost_simple_s5():
-    cert = almost_simple_certificate(s5())
+    cert = almost_simple_certificate(Analysis(s5()))
     assert cert.verdict == PASS
     assert cert.evidence["core_order"] == 60
     assert cert.evidence["core_index"] == 2
 
 
 def test_almost_simple_fails_for_k33_aut():
-    cert = almost_simple_certificate(automorphism_group(complete_bipartite(3)))
+    cert = almost_simple_certificate(Analysis(automorphism_group(complete_bipartite(3))))
     assert cert.verdict == FAIL
 
 
 def test_almost_simple_under_tight_cutoff():
-    cert = almost_simple_certificate(a5(), config=RunConfig(enumeration_cutoff=1000))
+    cert = almost_simple_certificate(Analysis(a5(), config=RunConfig(enumeration_cutoff=1000)))
     assert cert.verdict == PASS  # order 60 stays under the configured cutoff
     assert cert.config["enumeration_cutoff"] == 1000
 
@@ -169,13 +170,13 @@ def test_almost_simple_under_tight_cutoff():
 
 def test_main_theorem_k33_via_bipartite_branch():
     k33 = complete_bipartite(3)
-    cert = main_theorem_check(automorphism_group(k33), k33)
+    cert = main_theorem_check(Analysis(automorphism_group(k33), k33))
     assert cert.verdict == PASS
     assert cert.evidence["branch"] == "complete-bipartite"
 
 
 def test_main_theorem_k8_via_almost_simple_branch():
-    cert = main_theorem_check(pgl2(7), complete_graph(8))
+    cert = main_theorem_check(Analysis(pgl2(7), complete_graph(8)))
     assert cert.verdict == PASS
     assert cert.evidence["branch"] == "almost-simple"
     assert cert.evidence["core_order"] == 168
@@ -183,7 +184,7 @@ def test_main_theorem_k8_via_almost_simple_branch():
 
 def test_main_theorem_gate_on_non_edge_primitive():
     g = petersen()
-    cert = main_theorem_check(automorphism_group(g), g)
+    cert = main_theorem_check(Analysis(automorphism_group(g), g))
     assert cert.verdict == NOT_APPLICABLE
 
 
@@ -191,7 +192,7 @@ def test_main_theorem_gate_on_non_edge_primitive():
 
 
 def test_counting_transitive_branch_k5():
-    cert = counting_identity_check(s5(), a5(), complete_graph(5))
+    cert = counting_identity_check(Analysis(s5(), complete_graph(5)), a5())
     assert cert.verdict == PASS
     assert cert.evidence["order_Nv"] == 12
     assert cert.evidence["order_N_edge"] == 6
@@ -204,7 +205,7 @@ def test_counting_intransitive_branch_k33():
     n36 = [n for n in normal_subgroups(aut) if n.order == 36]
     found_intransitive = False
     for n in n36:
-        cert = counting_identity_check(aut, n, k33)
+        cert = counting_identity_check(Analysis(aut, k33), n)
         assert cert.verdict == PASS
         if not cert.evidence["normal_vertex_transitive"]:
             found_intransitive = True
@@ -216,15 +217,17 @@ def test_counting_intransitive_branch_k33():
 
 def test_counting_rejects_bad_normal_inputs():
     with pytest.raises(ValueError):
-        counting_identity_check(s5(), build_group([from_cycles(5, [(0, 1)])]), complete_graph(5))
+        counting_identity_check(
+            Analysis(s5(), complete_graph(5)), build_group([from_cycles(5, [(0, 1)])])
+        )
     from edgeprim import trivial_group
 
     with pytest.raises(ValueError):
-        counting_identity_check(s5(), trivial_group(5), complete_graph(5))
+        counting_identity_check(Analysis(s5(), complete_graph(5)), trivial_group(5))
 
 
 def test_selfnorm_k5():
-    cert = selfnorm_check(s5(), a5(), complete_graph(5))
+    cert = selfnorm_check(Analysis(s5(), complete_graph(5)), a5())
     assert cert.verdict == PASS
     assert cert.evidence["order_N_arc"] == 3
     assert cert.evidence["self_normalized"]
@@ -240,12 +243,12 @@ def test_selfnorm_heawood():
 
     n = perfect_core(aut)
     assert n.order == 168
-    cert = selfnorm_check(aut, n, hw)
+    cert = selfnorm_check(Analysis(aut, hw), n)
     assert cert.verdict == PASS
 
 
 def test_sylow_arc_k5():
-    cert = sylow_arc_check(s5(), a5(), complete_graph(5))
+    cert = sylow_arc_check(Analysis(s5(), complete_graph(5)), a5())
     assert cert.verdict == PASS
     rows = {r["prime"]: r for r in cert.evidence["sylow_rows"]}
     assert rows[3]["normal_in_edge_stabilizer"] and rows[3]["is_full_sylow"]
@@ -255,7 +258,7 @@ def test_sylow_arc_k5():
 
 def test_sylow_arc_k14_abelian_arc_stabilizer():
     g = psl2(13)
-    cert = sylow_arc_check(g, g, complete_graph(14))
+    cert = sylow_arc_check(Analysis(g, complete_graph(14)), g)
     assert cert.verdict == PASS
     assert cert.evidence["order_N_edge"] == 12
     assert cert.evidence["order_N_arc"] == 6
@@ -267,7 +270,7 @@ def test_sylow_arc_kdd_gate():
     k33 = complete_bipartite(3)
     aut = automorphism_group(k33)
     n = normal_subgroups(aut)[-1]
-    cert = sylow_arc_check(aut, n, k33)
+    cert = sylow_arc_check(Analysis(aut, k33), n)
     assert cert.verdict == NOT_APPLICABLE
 
 
@@ -275,7 +278,7 @@ def test_sylow_arc_kdd_gate():
 
 
 def test_prime_valency_k14():
-    cert = prime_valency_check(psl2(13), complete_graph(14))
+    cert = prime_valency_check(Analysis(psl2(13), complete_graph(14)))
     assert cert.verdict == PASS
     assert cert.evidence["branch"] == "complete-graph"
     assert cert.evidence["valency_greater_11"]
@@ -284,14 +287,14 @@ def test_prime_valency_k14():
 
 def test_prime_valency_heawood():
     hw = heawood()
-    cert = prime_valency_check(automorphism_group(hw), hw)
+    cert = prime_valency_check(Analysis(automorphism_group(hw), hw))
     assert cert.verdict == PASS
     assert cert.evidence["branch"] == "2-arc-transitive"
 
 
 def test_prime_valency_gate_on_composite_valency():
     k5 = complete_graph(5)
-    cert = prime_valency_check(automorphism_group(k5), k5)
+    cert = prime_valency_check(Analysis(automorphism_group(k5), k5))
     assert cert.verdict == NOT_APPLICABLE
 
 
@@ -300,14 +303,14 @@ def test_prime_valency_gate_on_composite_valency():
 
 def test_three_arc_heawood_gate():
     hw = heawood()
-    cert = three_arc_criterion(automorphism_group(hw), hw)
+    cert = three_arc_criterion(Analysis(automorphism_group(hw), hw))
     assert cert.verdict == NOT_APPLICABLE
     assert "faithful" in cert.evidence["violated_hypothesis"]
 
 
 def test_three_arc_k5_sides_agree_negatively():
     k5 = complete_graph(5)
-    cert = three_arc_criterion(automorphism_group(k5), k5)
+    cert = three_arc_criterion(Analysis(automorphism_group(k5), k5))
     # K_5 under S_5: faithful vertex stabilizer, 2- but not 3-arc-transitive,
     # valency 4 != 7: both sides false, criterion confirmed.
     assert cert.verdict == PASS
@@ -321,7 +324,7 @@ def test_three_arc_reference_fingerprints_follow_the_cutoff(hs_core, hs_graph):
     # at the same cutoff or the comparison would spuriously mismatch and
     # unsoundly report "not isomorphic".
     cert = three_arc_criterion(
-        hs_core, hs_graph, config=RunConfig(enumeration_cutoff=1000)
+        Analysis(hs_core, hs_graph, config=RunConfig(enumeration_cutoff=1000))
     )
     assert cert.verdict == PASS
     assert cert.evidence["vertex_core_matches_alt7"] is True
@@ -337,7 +340,7 @@ def test_affine_normal_agl19_conclusions():
     g = agl1(9)
     target = [n for n in normal_subgroups(g) if n.order == 18]
     assert target
-    cert = affine_normal_check(g, target[0])
+    cert = affine_normal_check(Analysis(g), target[0])
     assert cert.verdict == PASS
     assert cert.evidence["soluble"]
     assert cert.evidence["frobenius"]
@@ -348,7 +351,7 @@ def test_affine_normal_agl19_conclusions():
 def test_affine_normal_regular_gate():
     g = agl1(9)
     translations = [n for n in normal_subgroups(g) if n.order == 9]
-    cert = affine_normal_check(g, translations[0])
+    cert = affine_normal_check(Analysis(g), translations[0])
     assert cert.verdict == NOT_APPLICABLE
     assert "regular" in cert.evidence["violated_hypothesis"]
 
@@ -357,9 +360,48 @@ def test_affine_normal_primitive_gate_agammal18():
     g = agammal1(8)
     n56 = [n for n in normal_subgroups(g) if n.order == 56]
     assert n56
-    cert = affine_normal_check(g, n56[0])
+    cert = affine_normal_check(Analysis(g), n56[0])
     assert cert.verdict == NOT_APPLICABLE
     assert "primitive" in cert.evidence["violated_hypothesis"]
+
+
+# -- one analysis per (group, graph) ------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analysis_computes_each_shared_fact_once(monkeypatch):
+    from edgeprim import certify
+    from edgeprim.cli import CHECKS
+
+    simple_calls = _count_calls(monkeypatch, certify, "is_simple")
+    action_calls = _count_calls(monkeypatch, certify, "act_on_pairs")
+    analysis = Analysis(pgl2(7), complete_graph(8))
+    certs = [check(analysis) for check in CHECKS.values()]
+    assert [c.check_name for c in certs] == list(CHECKS)
+    assert len(simple_calls) == 1
+    assert len(action_calls) == 1
+
+
+def test_lemma_suite_decides_edge_primitivity_once_per_fixture(monkeypatch, tmp_path):
+    from edgeprim import certify
+
+    action_calls = _count_calls(monkeypatch, certify, "act_on_pairs")
+    config = RunConfig(fixture_dir=tmp_path / "fixtures")
+    rows = run_lemma_suite(["counting", "selfnorm", "sylow"], config)
+    fixtures = {r.fixture for r in rows}
+    assert len(rows) > len(fixtures)
+    assert len(action_calls) == len(fixtures)
 
 
 # -- suite, replayability -------------------------------------------------------
@@ -374,12 +416,12 @@ def test_lemma_suite_counting_has_enough_pairs(tmp_path):
 
 
 def test_certificates_are_replayable():
-    cert1 = counting_identity_check(s5(), a5(), complete_graph(5))
-    cert2 = counting_identity_check(s5(), a5(), complete_graph(5))
+    cert1 = counting_identity_check(Analysis(s5(), complete_graph(5)), a5())
+    cert2 = counting_identity_check(Analysis(s5(), complete_graph(5)), a5())
     assert cert1.to_json() == cert2.to_json()
     hw = heawood()
     aut = automorphism_group(hw)
     assert (
-        s_transitivity_degree(aut, hw).to_json()
-        == s_transitivity_degree(automorphism_group(hw), hw).to_json()
+        s_transitivity_degree(Analysis(aut, hw)).to_json()
+        == s_transitivity_degree(Analysis(automorphism_group(hw), hw)).to_json()
     )

@@ -68,6 +68,13 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert run(["analyze", "--graph", str(good), "--check", "unknown-check"]) == 2
 
 
+def test_local_structure_on_edgeless_graph_is_a_usage_error(tmp_path, capsys):
+    edgeless = tmp_path / "empty.graph"
+    edgeless.write_text("graph\nn 3\n")
+    assert run(["analyze", "--graph", str(edgeless), "--check", "local-structure"]) == 2
+    assert "graph has no edges" in capsys.readouterr().err
+
+
 def test_analyze_json_deterministic(tmp_path, capsys):
     path = tmp_path / "hw.graph"
     assert run(["construct", "--family", "heawood", "--out", str(path)]) == 0

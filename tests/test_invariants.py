@@ -1,6 +1,7 @@
 """Cross-cutting property tests tying the modules together."""
 
 from edgeprim import (
+    Analysis,
     act_on_pairs,
     agl1,
     automorphism_group,
@@ -117,7 +118,7 @@ def test_two_arc_transitive_iff_locally_two_transitive():
     ]
     for graph, group in fixtures:
         group = group or automorphism_group(graph)
-        cert = s_transitivity_degree(group, graph)
+        cert = s_transitivity_degree(Analysis(group, graph))
         if cert.verdict != PASS:
             continue
         if not (cert.evidence["vertex_transitive"] and cert.evidence["arc_transitive"]):
@@ -139,13 +140,13 @@ def test_hs_lemma_instances(hs_graph, hs_aut, hs_core):
     assert la.action.domain_size == 7
     assert is_k_transitive(la.action, 2)
 
-    cert = counting_identity_check(hs_aut, hs_core, hs_graph)
+    cert = counting_identity_check(Analysis(hs_aut, hs_graph), hs_core)
     assert cert.verdict == PASS
     assert cert.evidence["order_Nv"] == 2520
     assert cert.evidence["order_N_edge"] == 720
     assert 2 * 2520 == valency(hs_graph) * 720
 
-    cert = sylow_arc_check(hs_aut, hs_core, hs_graph)
+    cert = sylow_arc_check(Analysis(hs_aut, hs_graph), hs_core)
     assert cert.verdict == PASS
     assert cert.evidence["order_N_edge"] == 720
     assert cert.evidence["N_edge_nonabelian"]
