@@ -42,6 +42,8 @@ class _Chain:
         self.identity = _identity_t(degree)
         self.points: list[int] = []
         self.transversals: list[dict[int, tuple[int, ...]]] = []
+        # inverses[i][beta] is the inverse of transversals[i][beta].
+        self.inverses: list[dict[int, tuple[int, ...]]] = []
         self.done: list[set[tuple[int, int]]] = []
         self.strong: list[tuple[int, ...]] = []
         self.level_of: list[int] = []
@@ -55,6 +57,7 @@ class _Chain:
     def _new_level(self, point: int) -> None:
         self.points.append(point)
         self.transversals.append({point: self.identity})
+        self.inverses.append({point: self.identity})
         self.done.append(set())
 
     def _level_gen_ids(self, i: int) -> list[int]:
@@ -64,6 +67,7 @@ class _Chain:
         # Extend, never rebuild: existing coset representatives must stay
         # fixed so that already-processed Schreier pairs remain valid.
         trans = self.transversals[i]
+        inv = self.inverses[i]
         gens = [self.strong[j] for j in self._level_gen_ids(i)]
         queue = list(trans)
         head = 0
@@ -74,7 +78,8 @@ class _Chain:
             for g in gens:
                 b = g[a]
                 if b not in trans:
-                    trans[b] = _compose_t(t, g)
+                    trans[b] = u = _compose_t(t, g)
+                    inv[b] = _inverse_t(u)
                     queue.append(b)
 
     def sift(self, p: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
@@ -84,11 +89,10 @@ class _Chain:
         residue is the identity after a full pass.
         """
         for i in range(start, len(self.points)):
-            beta = p[self.points[i]]
-            u = self.transversals[i].get(beta)
-            if u is None:
+            u_inv = self.inverses[i].get(p[self.points[i]])
+            if u_inv is None:
                 return p, i
-            p = _compose_t(p, _inverse_t(u))
+            p = _compose_t(p, u_inv)
         return p, len(self.points)
 
     def _install(self, g: tuple[int, ...], level: int) -> None:
@@ -107,6 +111,7 @@ class _Chain:
         while True:
             self._extend_transversal(i)
             trans = self.transversals[i]
+            inv = self.inverses[i]
             gen_ids = self._level_gen_ids(i)
             dirty = False
             for a in list(trans):
@@ -116,7 +121,7 @@ class _Chain:
                     self.done[i].add((a, j))
                     g = self.strong[j]
                     b = g[a]
-                    sg = _compose_t(_compose_t(trans[a], g), _inverse_t(trans[b]))
+                    sg = _compose_t(_compose_t(trans[a], g), inv[b])
                     if _is_identity_t(sg):
                         continue
                     residue, depth = self.sift(sg, i + 1)
@@ -128,15 +133,17 @@ class _Chain:
             if not dirty:
                 return
 
-    def add_generator(self, g: tuple[int, ...]) -> None:
+    def add_generator(self, g: tuple[int, ...]) -> bool:
+        """Extend the chain by g; False (and no change) when g is already in it."""
         if _is_identity_t(g):
-            return
+            return False
         residue, depth = self.sift(g)
         if _is_identity_t(residue):
-            return
+            return False
         self._install(residue, depth)
         for lvl in range(depth, -1, -1):
             self._complete(lvl)
+        return True
 
     def order(self) -> int:
         return math.prod(len(t) for t in self.transversals)
@@ -284,11 +291,16 @@ def build_group(
     chain = _Chain(degree, base_prefix)
     for g in gens:
         chain.add_generator(g.images)
-    group = chain.suffix_group(0, degree)
-    # Keep the caller's generator sequence as the public generating set.
+    return _freeze(chain, gens)
+
+
+def _freeze(chain: _Chain, generators: Sequence[Permutation]) -> Group:
+    """The chain's group, keeping the caller's generator sequence as the
+    public generating set."""
+    group = chain.suffix_group(0, chain.degree)
     return Group(
-        degree=degree,
-        generators=tuple(gens),
+        degree=chain.degree,
+        generators=tuple(generators),
         base=group.base,
         strong_generators=group.strong_generators,
         transversals=group.transversals,
@@ -357,28 +369,34 @@ def is_normal(group: Group, sub: Group) -> bool:
 
 
 def normal_closure(group: Group, seeds: Iterable[Permutation]) -> Group:
-    """Smallest normal subgroup of group containing the seed elements."""
+    """Smallest normal subgroup of group containing the seed elements.
+
+    One chain grows by every conjugate it does not yet contain; its
+    generating set is the seeds followed by those conjugates in the order
+    they were met, so the result equals ``build_group`` of that sequence.
+    """
     seed_list = [s for s in seeds if not s.is_identity()]
     for s in seed_list:
         if not group.contains(s):
             raise ValueError("seed element is not in the group")
     if not seed_list:
         return trivial_group(group.degree)
-    closure = build_group(seed_list)
-    gen_tuples = [g.images for g in group.generators]
+    chain = _Chain(group.degree)
+    for s in seed_list:
+        chain.add_generator(s.images)
+    gens = list(seed_list)
+    gen_pairs = [(_inverse_t(g.images), g.images) for g in group.generators]
     frontier = [s.images for s in seed_list]
     while frontier:
         new: list[tuple[int, ...]] = []
         for h in frontier:
-            for g in gen_tuples:
-                conj = _compose_t(_compose_t(_inverse_t(g), h), g)
-                if not closure.contains(Permutation(conj)):
+            for g_inv, g in gen_pairs:
+                conj = _compose_t(_compose_t(g_inv, h), g)
+                if chain.add_generator(conj):
                     new.append(conj)
-                    closure = build_group(
-                        list(closure.generators) + [Permutation(conj)]
-                    )
+                    gens.append(Permutation(conj))
         frontier = new
-    return closure
+    return _freeze(chain, gens)
 
 
 def derived_subgroup(group: Group) -> Group:

@@ -1,7 +1,11 @@
 """Element-enumeration operations on small groups.
 
-Everything here walks the full element list of a group, so every entry
-point is gated by an explicit cutoff (default 10^6): exceeding it raises
+Most operations here walk the full element list of a group.  Simplicity
+enumerates the group once, to find its conjugacy-class representatives,
+and then takes one normal closure per class without walking the class.
+The centralizer of a transitive subgroup is built from a point
+stabilizer's fixed points with no enumeration at all.  Every entry point is
+still gated by an explicit cutoff (default 10^6): exceeding it raises
 :class:`ScaleLimitError` rather than returning a wrong or partial answer.
 
 For degrees up to 255 elements are enumerated as ``bytes`` and composed
@@ -113,10 +117,18 @@ def normalizer(
 def centralizer(
     group: Group, sub: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF
 ) -> Group:
-    """C_group(sub), by enumerating the ambient group's elements."""
+    """C_group(sub).
+
+    A transitive sub has a semiregular centralizer in the symmetric group,
+    read off the fixed points of a point stabilizer and intersected with
+    the group (see :func:`_transitive_centralizer`).  Otherwise the
+    ambient group's elements are enumerated.  The cutoff gates both paths.
+    """
     if not is_subgroup(group, sub):
         raise ValueError("candidate is not a subgroup")
     _check_cutoff(group, cutoff, "centralizer")
+    if len(sub.orbit(0)) == sub.degree:
+        return _transitive_centralizer(group, sub)
     sub_gens = [g.images for g in sub.generators]
     gens: list[Permutation] = []
     found = trivial_group(group.degree)
@@ -130,6 +142,49 @@ def centralizer(
             gens.append(p)
             found = build_group(gens)
     return found
+
+
+def _transitive_centralizer(group: Group, sub: Group) -> Group:
+    """C_group(sub) for sub transitive on all points, without enumeration.
+
+    With H = sub, a = 0 and F the fixed points of H_a, the centralizer of H
+    in the symmetric group is {c_b : b in F}, where c_b is the unique
+    permutation commuting with H that sends a to b: c_b(x^h) = b^h
+    (Seress, *Permutation Group Algorithms*, 2003, section 6.1).  Each c_b
+    is built by breadth-first search over the generators of H and checked
+    to be a bijection commuting with them; the members of the group among
+    them generate C_group(H).
+    """
+    n = sub.degree
+    alpha = 0
+    stab_gens = [g.images for g in sub.point_stabilizer(alpha).generators]
+    fixed = [b for b in range(n) if all(g[b] == b for g in stab_gens)]
+    sub_gens = [g.images for g in sub.generators]
+    kept = []
+    for beta in fixed:
+        if beta == alpha:
+            continue
+        images = [-1] * n
+        images[alpha] = beta
+        queue = [alpha]
+        for x in queue:
+            for g in sub_gens:
+                y = g[x]
+                if images[y] < 0:
+                    images[y] = g[images[x]]
+                    queue.append(y)
+        c = tuple(images)
+        if len(set(c)) != n or any(
+            _compose_t(c, g) != _compose_t(g, c) for g in sub_gens
+        ):
+            raise AssertionError(
+                f"point {beta} is fixed by the stabilizer of {alpha} but gives "
+                "no centralizing permutation"
+            )
+        p = Permutation(c)
+        if group.contains(p):
+            kept.append(p)
+    return build_group(kept) if kept else trivial_group(group.degree)
 
 
 def center(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> Group:
@@ -194,25 +249,13 @@ def _conjugacy_classes_tuples(group: Group) -> list[tuple[Permutation, int]]:
     return out
 
 
-def _class_of(group: Group, rep: Permutation) -> list[tuple[int, ...]]:
-    gen_pairs = [(_inverse_t(g.images), g.images) for g in group.generators]
-    cls = {rep.images}
-    queue = [rep.images]
-    while queue:
-        x = queue.pop()
-        for gi, g in gen_pairs:
-            y = _compose_t(_compose_t(gi, x), g)
-            if y not in cls:
-                cls.add(y)
-                queue.append(y)
-    return sorted(cls)
-
-
 def is_simple(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
     """Exact simplicity test via conjugacy-class closures.
 
     The group is simple iff the subgroup generated by the class of every
-    nontrivial element is the whole group.
+    nontrivial element is the whole group.  That subgroup is the normal
+    closure of any one class member, so one enumeration (to find the class
+    representatives) and one normal closure per class decide it.
     """
     order = group.order
     if order == 1:
@@ -222,23 +265,11 @@ def is_simple(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
     if is_abelian(group):
         return False
     _check_cutoff(group, cutoff, "simplicity test")
-    for rep, _size in conjugacy_classes(group, cutoff):
-        if rep.is_identity():
-            continue
-        closure = None
-        for images in _class_of(group, rep):
-            p = Permutation(images)
-            if closure is None:
-                closure = build_group([p])
-            elif closure.contains(p):
-                continue
-            else:
-                closure = build_group(list(closure.generators) + [p])
-            if closure.order == order:
-                break
-        if closure is None or closure.order != order:
-            return False
-    return True
+    return all(
+        normal_closure(group, [rep]).order == order
+        for rep, _size in conjugacy_classes(group, cutoff)
+        if not rep.is_identity()
+    )
 
 
 def minimal_normal_subgroups(group: Group, bound: int = 10**5) -> list[Group]:

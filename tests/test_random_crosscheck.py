@@ -16,6 +16,7 @@ from brute import (
     brute_closure,
     brute_normalizer,
     brute_setwise_stabilizer,
+    compose_t,
 )
 
 
@@ -34,6 +35,52 @@ def test_normalizer_and_centralizer_match_brute_on_random_subgroups():
         sub_elements = brute_closure([p.images for p in sub.generators])
         assert normalizer(s5, sub).order == len(brute_normalizer(set(ambient), sub_elements))
         assert centralizer(s5, sub).order == len(brute_centralizer(set(ambient), sub_elements))
+
+
+def _symmetric(n):
+    return build_group([from_cycles(n, [(0, 1)]), from_cycles(n, [tuple(range(n))])])
+
+
+def _regular_s3():
+    """S3 on its own 6 elements: right multiplication H and left L."""
+    s3 = sorted(brute_closure([(1, 0, 2), (1, 2, 0)]))
+    index = {x: i for i, x in enumerate(s3)}
+    right = [Permutation(tuple(index[compose_t(x, h)] for x in s3)) for h in s3]
+    left = [Permutation(tuple(index[compose_t(h, x)] for x in s3)) for h in s3]
+    return build_group(right), build_group(left)
+
+
+def test_centralizer_matches_brute_on_transitive_and_intransitive_subgroups():
+    s4 = _symmetric(4)
+    v4 = build_group([from_cycles(4, [(0, 1), (2, 3)]), from_cycles(4, [(0, 2), (1, 3)])])
+    right, left = _regular_s3()
+    cases = [
+        (s4, v4, 4),
+        # C_Sym(H) is the left-regular S3, which meets H only in Z(S3) = 1.
+        (right, right, 1),
+        (build_group(list(right.generators) + list(left.generators)), right, 6),
+        # Intransitive: the enumeration path.
+        (_symmetric(5), build_group([from_cycles(5, [(0, 1, 2)])]), 6),
+    ]
+    for n in range(3, 8):
+        cases.append((_symmetric(n), build_group([from_cycles(n, [tuple(range(n))])]), n))
+    rng = random.Random(2718)
+    for n in (5, 6):
+        sym = _symmetric(n)
+        ambient = sorted(brute_closure([p.images for p in sym.generators]))
+        transitive = 0
+        while transitive < 6:
+            sub = build_group(random_subgroup(rng, ambient))
+            if len(sub.orbit(0)) == n:
+                cases.append((sym, sub, None))
+                transitive += 1
+    for group, sub, expected in cases:
+        group_elements = brute_closure([p.images for p in group.generators])
+        sub_elements = brute_closure([p.images for p in sub.generators])
+        got = centralizer(group, sub).order
+        assert got == len(brute_centralizer(group_elements, sub_elements))
+        if expected is not None:
+            assert got == expected
 
 
 def test_setwise_stabilizers_match_brute_on_random_sets():

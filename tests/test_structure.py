@@ -92,6 +92,26 @@ def test_centralizer_of_normal_in_s4():
     assert c.order == 4
 
 
+def test_transitive_centralizer_does_not_enumerate(hs_aut, hs_core, monkeypatch):
+    from edgeprim import structure
+
+    enumerated = []
+    original = structure.iter_element_images
+
+    def counting(group):
+        enumerated.append(group.order)
+        return original(group)
+
+    monkeypatch.setattr(structure, "iter_element_images", counting)
+    assert len(hs_core.orbit(0)) == hs_core.degree
+    assert centralizer(hs_aut, hs_core).order == 1
+    assert enumerated == []
+    # An intransitive subgroup still takes the enumeration path.
+    assert centralizer(s5(), build_group([from_cycles(5, [(0, 1, 2)])])).order == 6
+    assert enumerated == [120]
+    assert is_simple(hs_core)
+
+
 def test_p_core_examples():
     g = s4()
     assert p_core(g, 2).order == 4
