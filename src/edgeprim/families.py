@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .perms import Permutation, _compose_t, _identity_t, _inverse_t
+from .perms import Permutation, _identity_t, _kernel
 from .groups import (
     Group,
     build_group,
@@ -423,12 +423,11 @@ def coset_graph(spec: CosetGraphSpec) -> tuple[Graph, Action]:
 
 def _conjugate_intersection(sub: Group, a: Permutation) -> int:
     """|H meet H^a| by filtering the enumerated elements of H."""
-    from .structure import iter_element_images
+    from .structure import _iter_elements_bytes
 
-    a_inv = _inverse_t(a.images)
-    count = 0
-    for images in iter_element_images(sub):
-        conj = _compose_t(_compose_t(a_inv, images), a.images)
-        if sub.contains(Permutation(conj)):
-            count += 1
-    return count
+    k = _kernel(sub.degree)
+    a_inv, a_table = k.inverse(k.element(a.images)), k.table(k.element(a.images))
+    return sum(
+        sub._contains_element(k.mul(k.mul(a_inv, k.table(h)), a_table))
+        for h in _iter_elements_bytes(sub)
+    )

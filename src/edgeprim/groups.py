@@ -10,21 +10,22 @@ which is what makes downstream certificates replayable.
 Transversal convention: ``transversals[i][beta]`` is a permutation ``t``
 with ``t(base[i]) == beta``.  Products read left to right (``compose(p, q)``
 applies ``p`` first).
+
+The chain is built and searched on raw elements of the permutation kernel
+(:func:`edgeprim.perms._kernel`): ``bytes`` composed by ``bytes.translate``
+up to degree 255, image tuples past it.  Only the frozen :class:`Group`
+wraps its generators and transversals as :class:`Permutation` objects,
+without re-validating them; it keeps each representative's inverse table so
+that :meth:`Group.contains` sifts without inverting anything.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .perms import (
-    Permutation,
-    _compose_t,
-    _identity_t,
-    _inverse_t,
-    _is_identity_t,
-)
+from .perms import Permutation, _identity_t, _kernel
 
 
 class ScaleLimitError(RuntimeError):
@@ -35,29 +36,35 @@ DEFAULT_ENUMERATION_CUTOFF = 10**6
 
 
 class _Chain:
-    """Mutable Schreier-Sims working state; frozen into a Group when done."""
+    """Mutable Schreier-Sims working state; frozen into a Group when done.
 
-    def __init__(self, degree: int, base_prefix: Sequence[int] = ()):
+    Works on raw kernel elements: transversal representatives are elements,
+    their inverses and the strong generators are tables (see
+    :func:`edgeprim.perms._kernel`).
+    """
+
+    def __init__(
+        self, degree: int, base_prefix: Sequence[int] = (), generators: Iterable = ()
+    ):
         self.degree = degree
-        self.identity = _identity_t(degree)
+        self.kernel = k = _kernel(degree)
+        self.identity = k.identity
         self.points: list[int] = []
-        self.transversals: list[dict[int, tuple[int, ...]]] = []
-        # inverses[i][beta] is the inverse of transversals[i][beta].
-        self.inverses: list[dict[int, tuple[int, ...]]] = []
+        self.transversals: list[dict[int, object]] = []
+        # inverses[i][beta] is the inverse table of transversals[i][beta].
+        self.inverses: list[dict[int, object]] = []
         self.done: list[set[tuple[int, int]]] = []
-        self.strong: list[tuple[int, ...]] = []
+        self.strong: list[object] = []
         self.level_of: list[int] = []
-        seen = set()
-        for pt in base_prefix:
-            if pt in seen:
-                continue
-            seen.add(pt)
+        for pt in dict.fromkeys(base_prefix):
             self._new_level(pt)
+        for g in generators:
+            self.add_generator(g)
 
     def _new_level(self, point: int) -> None:
         self.points.append(point)
         self.transversals.append({point: self.identity})
-        self.inverses.append({point: self.identity})
+        self.inverses.append({point: self.kernel.table(self.identity)})
         self.done.append(set())
 
     def _level_gen_ids(self, i: int) -> list[int]:
@@ -66,6 +73,7 @@ class _Chain:
     def _extend_transversal(self, i: int) -> None:
         # Extend, never rebuild: existing coset representatives must stay
         # fixed so that already-processed Schreier pairs remain valid.
+        mul, inverse_table = self.kernel.mul, self.kernel.inverse_table
         trans = self.transversals[i]
         inv = self.inverses[i]
         gens = [self.strong[j] for j in self._level_gen_ids(i)]
@@ -78,28 +86,29 @@ class _Chain:
             for g in gens:
                 b = g[a]
                 if b not in trans:
-                    trans[b] = u = _compose_t(t, g)
-                    inv[b] = _inverse_t(u)
+                    trans[b] = u = mul(t, g)
+                    inv[b] = inverse_table(u)
                     queue.append(b)
 
-    def sift(self, p: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
+    def sift(self, p, start: int = 0) -> tuple[object, int]:
         """Strip p through the chain; return (residue, level stopped at).
 
         The residue fixes ``points[:level]``.  Membership holds iff the
         residue is the identity after a full pass.
         """
+        mul = self.kernel.mul
         for i in range(start, len(self.points)):
             u_inv = self.inverses[i].get(p[self.points[i]])
             if u_inv is None:
                 return p, i
-            p = _compose_t(p, u_inv)
+            p = mul(p, u_inv)
         return p, len(self.points)
 
-    def _install(self, g: tuple[int, ...], level: int) -> None:
+    def _install(self, g, level: int) -> None:
         if level == len(self.points):
             moved = min(i for i, x in enumerate(g) if i != x)
             self._new_level(moved)
-        self.strong.append(g)
+        self.strong.append(self.kernel.table(g))
         self.level_of.append(level)
 
     def _complete(self, i: int) -> None:
@@ -108,24 +117,25 @@ class _Chain:
         Levels deeper than i must already be complete; installs made here
         land strictly deeper and are completed before this level resumes.
         """
+        mul, identity = self.kernel.mul, self.identity
         while True:
             self._extend_transversal(i)
             trans = self.transversals[i]
             inv = self.inverses[i]
+            done = self.done[i]
             gen_ids = self._level_gen_ids(i)
             dirty = False
             for a in list(trans):
                 for j in gen_ids:
-                    if (a, j) in self.done[i]:
+                    if (a, j) in done:
                         continue
-                    self.done[i].add((a, j))
+                    done.add((a, j))
                     g = self.strong[j]
-                    b = g[a]
-                    sg = _compose_t(_compose_t(trans[a], g), inv[b])
-                    if _is_identity_t(sg):
+                    sg = mul(mul(trans[a], g), inv[g[a]])
+                    if sg == identity:
                         continue
                     residue, depth = self.sift(sg, i + 1)
-                    if not _is_identity_t(residue):
+                    if residue != identity:
                         self._install(residue, depth)
                         for lvl in range(depth, i, -1):
                             self._complete(lvl)
@@ -133,39 +143,38 @@ class _Chain:
             if not dirty:
                 return
 
-    def add_generator(self, g: tuple[int, ...]) -> bool:
+    def add_generator(self, g) -> bool:
         """Extend the chain by g; False (and no change) when g is already in it."""
-        if _is_identity_t(g):
-            return False
         residue, depth = self.sift(g)
-        if _is_identity_t(residue):
+        if residue == self.identity:
             return False
         self._install(residue, depth)
         for lvl in range(depth, -1, -1):
             self._complete(lvl)
         return True
 
-    def order(self) -> int:
-        return math.prod(len(t) for t in self.transversals)
+    def strong_elements(self, k: int) -> list:
+        """The strong generators fixing points[:k], as elements."""
+        n = self.degree
+        return [g[:n] for g, lvl in zip(self.strong, self.level_of) if lvl >= k]
 
-    def suffix_group(self, k: int, degree: int) -> "Group":
-        """The stabilizer of points[:k] as a Group sharing this chain's tail."""
-        gens = [
-            Permutation(self.strong[j])
-            for j in range(len(self.strong))
-            if self.level_of[j] >= k
-        ]
-        if not gens:
-            gens = [Permutation(_identity_t(degree))]
+    def suffix_group(self, k: int, generators: Sequence[Permutation] = ()) -> "Group":
+        """The stabilizer of points[:k] as a Group sharing this chain's tail,
+        generated by ``generators`` if given, else by its strong generators."""
+        wrap = Permutation._trusted
+        strong = tuple(map(wrap, self.strong_elements(k)))
+        if not strong:
+            strong = (wrap(_identity_t(self.degree)),)
         return Group(
-            degree=degree,
-            generators=tuple(gens),
+            degree=self.degree,
+            generators=tuple(generators) or strong,
             base=tuple(self.points[k:]),
-            strong_generators=tuple(gens),
+            strong_generators=strong,
             transversals=tuple(
-                {b: Permutation(t) for b, t in trans.items()}
+                {b: wrap(t) for b, t in trans.items()}
                 for trans in self.transversals[k:]
             ),
+            _inverse_tables=tuple(self.inverses[k:]),
         )
 
 
@@ -181,6 +190,8 @@ class Group:
     base: tuple[int, ...]
     strong_generators: tuple[Permutation, ...]
     transversals: tuple[dict[int, Permutation], ...]
+    # Per level, the kernel inverse table of each transversal element.
+    _inverse_tables: tuple[dict[int, object], ...] = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -189,13 +200,17 @@ class Group:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} != {self.degree}")
-        residue = p.images
-        for point, trans in zip(self.base, self.transversals):
-            u = trans.get(residue[point])
-            if u is None:
+        return self._contains_element(_kernel(self.degree).element(p.images))
+
+    def _contains_element(self, residue) -> bool:
+        """Membership of a raw kernel element of this group's degree."""
+        k = _kernel(self.degree)
+        for point, inv in zip(self.base, self._inverse_tables):
+            u_inv = inv.get(residue[point])
+            if u_inv is None:
                 return False
-            residue = _compose_t(residue, _inverse_t(u.images))
-        return _is_identity_t(residue)
+            residue = k.mul(residue, u_inv)
+        return residue == k.identity
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -235,10 +250,8 @@ class Group:
         for p in points:
             self._check_point(p)
         prefix = tuple(dict.fromkeys(points))
-        chain = _Chain(self.degree, prefix)
-        for g in self.strong_generators:
-            chain.add_generator(g.images)
-        return chain.suffix_group(len(prefix), self.degree)
+        strong = [_kernel(self.degree).element(g.images) for g in self.strong_generators]
+        return _Chain(self.degree, prefix, strong).suffix_group(len(prefix))
 
     def setwise_stabilizer(self, points: Sequence[int]) -> "Group":
         """Exact stabilizer of a small set of points.
@@ -288,23 +301,9 @@ def build_group(
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"degree mismatch: {g.degree} != {degree}")
-    chain = _Chain(degree, base_prefix)
-    for g in gens:
-        chain.add_generator(g.images)
-    return _freeze(chain, gens)
-
-
-def _freeze(chain: _Chain, generators: Sequence[Permutation]) -> Group:
-    """The chain's group, keeping the caller's generator sequence as the
-    public generating set."""
-    group = chain.suffix_group(0, chain.degree)
-    return Group(
-        degree=chain.degree,
-        generators=tuple(generators),
-        base=group.base,
-        strong_generators=group.strong_generators,
-        transversals=group.transversals,
-    )
+    element = _kernel(degree).element
+    chain = _Chain(degree, base_prefix, [element(g.images) for g in gens])
+    return chain.suffix_group(0, gens)
 
 
 def trivial_group(degree: int) -> Group:
@@ -323,23 +322,26 @@ def element_mapping(
         raise ValueError("src and dst must have equal length")
     if not src:
         return Permutation(_identity_t(group.degree))
-    chain = _Chain(group.degree, (src[0],))
-    for g in group.strong_generators:
-        chain.add_generator(g.images)
-    trans = chain.transversals[0]
-    rep = trans.get(dst[0])
-    if rep is None:
-        return None
-    if len(src) == 1:
-        return Permutation(rep)
-    stab = chain.suffix_group(1, group.degree)
-    rep_inv = _inverse_t(rep)
-    inner = element_mapping(
-        stab, tuple(src[1:]), tuple(rep_inv[d] for d in dst[1:])
+    k = _kernel(group.degree)
+    strong = [k.element(g.images) for g in group.strong_generators]
+    found = _map_points(group.degree, strong, tuple(src), tuple(dst))
+    return None if found is None else Permutation._trusted(found)
+
+
+def _map_points(degree: int, strong: list, src: tuple, dst: tuple):
+    """:func:`element_mapping` on the group generated by the elements
+    ``strong``; returns an element or None."""
+    chain = _Chain(degree, (src[0],), strong)
+    rep = chain.transversals[0].get(dst[0])
+    if rep is None or len(src) == 1:
+        return rep
+    rep_inv = chain.inverses[0][dst[0]]
+    inner = _map_points(
+        degree, chain.strong_elements(1), src[1:], tuple(rep_inv[d] for d in dst[1:])
     )
     if inner is None:
         return None
-    return Permutation(_compose_t(inner.images, rep))
+    return chain.kernel.mul(inner, chain.kernel.table(rep))
 
 
 def is_subgroup(group: Group, sub: Group) -> bool:
@@ -359,13 +361,21 @@ def is_normal(group: Group, sub: Group) -> bool:
     """
     if not is_subgroup(group, sub):
         raise ValueError("candidate is not a subgroup")
-    for g in group.generators:
-        g_inv = _inverse_t(g.images)
-        for h in sub.generators:
-            conj = _compose_t(_compose_t(g_inv, h.images), g.images)
-            if not sub.contains(Permutation(conj)):
+    k = _kernel(group.degree)
+    subs = [k.table(k.element(h.images)) for h in sub.generators]
+    for g_inv, g in _conjugators(group):
+        for h in subs:
+            if not sub._contains_element(k.mul(k.mul(g_inv, h), g)):
                 return False
     return True
+
+
+def _conjugators(group: Group) -> list:
+    """(g^-1 as element, g as table) for each generator g: the conjugate
+    of an element table h by g is ``mul(mul(g_inv, h), g)``."""
+    k = _kernel(group.degree)
+    elements = [k.element(g.images) for g in group.generators]
+    return [(k.inverse(e), k.table(e)) for e in elements]
 
 
 def normal_closure(group: Group, seeds: Iterable[Permutation]) -> Group:
@@ -381,40 +391,38 @@ def normal_closure(group: Group, seeds: Iterable[Permutation]) -> Group:
             raise ValueError("seed element is not in the group")
     if not seed_list:
         return trivial_group(group.degree)
-    chain = _Chain(group.degree)
-    for s in seed_list:
-        chain.add_generator(s.images)
+    k = _kernel(group.degree)
+    frontier = [k.element(s.images) for s in seed_list]
+    chain = _Chain(group.degree, (), frontier)
     gens = list(seed_list)
-    gen_pairs = [(_inverse_t(g.images), g.images) for g in group.generators]
-    frontier = [s.images for s in seed_list]
+    gen_pairs = _conjugators(group)
     while frontier:
-        new: list[tuple[int, ...]] = []
+        new = []
         for h in frontier:
+            h_table = k.table(h)
             for g_inv, g in gen_pairs:
-                conj = _compose_t(_compose_t(g_inv, h), g)
+                conj = k.mul(k.mul(g_inv, h_table), g)
                 if chain.add_generator(conj):
                     new.append(conj)
-                    gens.append(Permutation(conj))
+                    gens.append(Permutation._trusted(conj))
         frontier = new
-    return _freeze(chain, gens)
+    return chain.suffix_group(0, gens)
 
 
 def derived_subgroup(group: Group) -> Group:
     """Normal closure of the commutators of the generators."""
+    k = _kernel(group.degree)
     commutators = []
-    seen = set()
-    gens = [g.images for g in group.generators]
-    for a in gens:
-        a_inv = _inverse_t(a)
-        for b in gens:
+    seen = {k.identity}
+    pairs = _conjugators(group)
+    for a_inv, a in pairs:
+        for b_inv, b in pairs:
             if a == b:
                 continue
-            comm = _compose_t(
-                _compose_t(_compose_t(a_inv, _inverse_t(b)), a), b
-            )
-            if not _is_identity_t(comm) and comm not in seen:
+            comm = k.mul(k.mul(k.mul(a_inv, k.table(b_inv)), a), b)
+            if comm not in seen:
                 seen.add(comm)
-                commutators.append(Permutation(comm))
+                commutators.append(Permutation._trusted(comm))
     if not commutators:
         return trivial_group(group.degree)
     return normal_closure(group, commutators)
@@ -431,12 +439,12 @@ def perfect_core(group: Group) -> Group:
 
 
 def is_abelian(group: Group) -> bool:
-    gens = [g.images for g in group.generators]
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            if _compose_t(a, b) != _compose_t(b, a):
-                return False
-    return True
+    # A product of two tables is the table of the product.
+    tables = [table for _inverse, table in _conjugators(group)]
+    mul = _kernel(group.degree).mul
+    return all(
+        mul(a, b) == mul(b, a) for i, a in enumerate(tables) for b in tables[i + 1 :]
+    )
 
 
 def reduce_generators(group: Group) -> Group:

@@ -3,16 +3,26 @@
 A permutation is stored as a tuple of images: ``p.images[x]`` is the image
 of ``x``.  Products are read left to right: ``compose(p, q)`` applies ``p``
 first, then ``q``.  All permutations are immutable and hashable.
+``Permutation(...)`` and :func:`from_cycles` validate their input; images
+that the group machinery computed itself are wrapped unchecked.
 
-The private tuple-level helpers (``_compose_t`` and friends) are used by the
-group machinery to avoid constructing wrapper objects in hot loops.
+The group machinery does its arithmetic on raw elements through one private
+kernel per degree (:func:`_kernel`).  Up to degree 255 an element is an
+n-byte ``bytes`` and a product is one ``bytes.translate`` call; past that
+an element is an image tuple composed in Python.  Both forms index like
+the image tuple, compare equal exactly when the permutations are equal and
+sort in the same order as the image tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable
+
+_BYTE_RANGE = bytes(range(256))
 
 
 def _compose_t(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -26,12 +36,33 @@ def _inverse_t(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+@functools.lru_cache(maxsize=64)
 def _identity_t(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
-def _is_identity_t(p: tuple[int, ...]) -> bool:
-    return all(i == x for i, x in enumerate(p))
+@functools.lru_cache(maxsize=64)
+def _kernel(n: int) -> SimpleNamespace:
+    """Raw permutation arithmetic at degree n.
+
+    A *table* is an element prepared as a right operand:
+    ``mul(p, table(q))`` applies p first, then q, and ``table(p)[:n]`` is p
+    again.  Up to degree 255 an element is n bytes and its table the
+    256-byte ``bytes.translate`` table (the element followed by the fixed
+    points n..255); past 255 both are the image tuple.  ``element`` turns
+    an image tuple into an element and ``tuple`` turns it back.
+    """
+    if n > 255:
+        return SimpleNamespace(
+            identity=_identity_t(n), mul=_compose_t, table=lambda p: p,
+            inverse=_inverse_t, inverse_table=_inverse_t, element=tuple,
+        )
+    ident, tail = _BYTE_RANGE[:n], _BYTE_RANGE[n:]
+    return SimpleNamespace(
+        identity=ident, mul=bytes.translate, table=lambda p: p + tail,
+        inverse=lambda p: bytes.maketrans(p, ident)[:n],
+        inverse_table=lambda p: bytes.maketrans(p, ident), element=bytes,
+    )
 
 
 @dataclass(frozen=True)
@@ -52,6 +83,14 @@ class Permutation:
                 raise ValueError(f"images {images!r} are not a bijection on 0..{n - 1}")
             seen[x] = True
 
+    @classmethod
+    def _trusted(cls, images) -> "Permutation":
+        """Wrap images known to be a bijection (a tuple or a kernel
+        element), without validating them."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", tuple(images))
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -63,10 +102,10 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        return Permutation(_inverse_t(self.images))
+        return Permutation._trusted(_inverse_t(self.images))
 
     def is_identity(self) -> bool:
-        return _is_identity_t(self.images)
+        return self.images == _identity_t(len(self.images))
 
     def order(self) -> int:
         cycles = self.cycles()
@@ -107,7 +146,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply p first, then q."""
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    return Permutation(_compose_t(p.images, q.images))
+    return Permutation._trusted(_compose_t(p.images, q.images))
 
 
 def inverse(p: Permutation) -> Permutation:

@@ -8,9 +8,11 @@ stabilizer's fixed points with no enumeration at all.  Every entry point is
 still gated by an explicit cutoff (default 10^6): exceeding it raises
 :class:`ScaleLimitError` rather than returning a wrong or partial answer.
 
-For degrees up to 255 elements are enumerated as ``bytes`` and composed
-with ``bytes.translate``, which keeps full enumerations of groups like a
-252000-element degree-50 group in the seconds range.
+Enumeration, class orbits and the commutation tests work on raw elements
+through the permutation kernel of :mod:`edgeprim.perms`: one body serves
+every degree, and up to degree 255 each product is one ``bytes.translate``
+call, which keeps full enumerations of groups like a 252000-element
+degree-50 group in the seconds range.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
-from .perms import Permutation, _compose_t, _identity_t, _inverse_t
+from .perms import Permutation, _identity_t, _kernel
 from .groups import (
     DEFAULT_ENUMERATION_CUTOFF,
     Group,
     ScaleLimitError,
+    _conjugators,
     build_group,
     derived_subgroup,
     is_abelian,
@@ -35,8 +39,6 @@ from .groups import (
     trivial_group,
 )
 
-_BYTE_RANGE = bytes(range(256))
-
 
 def _check_cutoff(group: Group, cutoff: int, what: str) -> None:
     if group.order > cutoff:
@@ -46,50 +48,34 @@ def _check_cutoff(group: Group, cutoff: int, what: str) -> None:
         )
 
 
-def _iter_elements_bytes(group: Group) -> Iterator[bytes]:
-    """All elements as length-n byte strings, deterministic order."""
-    n = group.degree
-    tail = _BYTE_RANGE[n:]
+def _iter_elements_bytes(group: Group) -> Iterator:
+    """All elements as raw kernel elements (``bytes`` up to degree 255,
+    image tuples past it), deterministic order."""
+    k = _kernel(group.degree)
+    mul, table = k.mul, k.table
     levels = [
-        [bytes(t.images) for t in trans.values()] for trans in group.transversals
-    ]
+        [k.element(t.images) for t in trans.values()] for trans in group.transversals
+    ] or [[k.identity]]
+    last = len(levels) - 1
 
-    def rec(i: int, acc_table: bytes) -> Iterator[bytes]:
-        if i == len(levels):
-            yield acc_table[:n]
+    def rec(i: int, acc) -> Iterator:
+        if i == last:
+            yield from map(mul, levels[i], repeat(acc))
             return
         for rep in levels[i]:
-            yield from rec(i + 1, rep.translate(acc_table) + tail)
+            yield from rec(i + 1, table(mul(rep, acc)))
 
-    yield from rec(0, _BYTE_RANGE)
-
-
-def _iter_elements_tuples(group: Group) -> Iterator[tuple[int, ...]]:
-    levels = [[t.images for t in trans.values()] for trans in group.transversals]
-    ident = _identity_t(group.degree)
-
-    def rec(i: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i == len(levels):
-            yield acc
-            return
-        for rep in levels[i]:
-            yield from rec(i + 1, _compose_t(rep, acc))
-
-    yield from rec(0, ident)
+    yield from rec(0, table(k.identity))
 
 
 def iter_element_images(group: Group) -> Iterator[tuple[int, ...]]:
     """Every element's image tuple, deterministically ordered."""
-    if group.degree <= 255:
-        for b in _iter_elements_bytes(group):
-            yield tuple(b)
-    else:
-        yield from _iter_elements_tuples(group)
+    yield from map(tuple, _iter_elements_bytes(group))
 
 
 def elements(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> list[Permutation]:
     _check_cutoff(group, cutoff, "element listing")
-    return [Permutation(t) for t in iter_element_images(group)]
+    return list(map(Permutation._trusted, _iter_elements_bytes(group)))
 
 
 def normalizer(
@@ -99,18 +85,17 @@ def normalizer(
     if not is_subgroup(group, sub):
         raise ValueError("candidate is not a subgroup")
     _check_cutoff(group, cutoff, "normalizer")
-    sub_gens = [g.images for g in sub.generators]
+    k = _kernel(group.degree)
+    sub_tables = [h for _inverse, h in _conjugators(sub)]
     found = build_group(list(sub.generators) or [Permutation(_identity_t(group.degree))])
-    for images in iter_element_images(group):
-        p = Permutation(images)
-        if found.contains(p):
+    for p in _iter_elements_bytes(group):
+        if found._contains_element(p):
             continue
-        inv = _inverse_t(images)
+        inv, p_table = k.inverse(p), k.table(p)
         if all(
-            sub.contains(Permutation(_compose_t(_compose_t(inv, h), images)))
-            for h in sub_gens
+            sub._contains_element(k.mul(k.mul(inv, h), p_table)) for h in sub_tables
         ):
-            found = build_group(list(found.generators) + [p])
+            found = build_group(list(found.generators) + [Permutation._trusted(p)])
     return found
 
 
@@ -129,18 +114,19 @@ def centralizer(
     _check_cutoff(group, cutoff, "centralizer")
     if len(sub.orbit(0)) == sub.degree:
         return _transitive_centralizer(group, sub)
-    sub_gens = [g.images for g in sub.generators]
+    k = _kernel(group.degree)
+    mul, table = k.mul, k.table
+    sub_tables = [h for _inverse, h in _conjugators(sub)]
     gens: list[Permutation] = []
     found = trivial_group(group.degree)
-    for images in iter_element_images(group):
-        p = Permutation(images)
-        if found.contains(p):
+    for p in _iter_elements_bytes(group):
+        p_table = table(p)
+        if any(
+            mul(p_table, h) != mul(h, p_table) for h in sub_tables
+        ) or found._contains_element(p):
             continue
-        if all(
-            _compose_t(images, h) == _compose_t(h, images) for h in sub_gens
-        ):
-            gens.append(p)
-            found = build_group(gens)
+        gens.append(Permutation._trusted(p))
+        found = build_group(gens)
     return found
 
 
@@ -156,10 +142,11 @@ def _transitive_centralizer(group: Group, sub: Group) -> Group:
     them generate C_group(H).
     """
     n = sub.degree
+    k = _kernel(n)
     alpha = 0
     stab_gens = [g.images for g in sub.point_stabilizer(alpha).generators]
     fixed = [b for b in range(n) if all(g[b] == b for g in stab_gens)]
-    sub_gens = [g.images for g in sub.generators]
+    sub_gens = [g for _inverse, g in _conjugators(sub)]
     kept = []
     for beta in fixed:
         if beta == alpha:
@@ -173,17 +160,16 @@ def _transitive_centralizer(group: Group, sub: Group) -> Group:
                 if images[y] < 0:
                     images[y] = g[images[x]]
                     queue.append(y)
-        c = tuple(images)
-        if len(set(c)) != n or any(
-            _compose_t(c, g) != _compose_t(g, c) for g in sub_gens
+        c = k.element(images) if sorted(images) == list(range(n)) else None
+        if c is None or any(
+            k.mul(k.table(c), g) != k.mul(g, k.table(c)) for g in sub_gens
         ):
             raise AssertionError(
                 f"point {beta} is fixed by the stabilizer of {alpha} but gives "
                 "no centralizing permutation"
             )
-        p = Permutation(c)
-        if group.contains(p):
-            kept.append(p)
+        if group._contains_element(c):
+            kept.append(Permutation._trusted(c))
     return build_group(kept) if kept else trivial_group(group.degree)
 
 
@@ -197,55 +183,25 @@ def conjugacy_classes(
     """(representative, class size) pairs; representatives are the first
     class members met in enumeration order, so the output is deterministic."""
     _check_cutoff(group, cutoff, "conjugacy class enumeration")
-    n = group.degree
-    gen_pairs = []
-    for g in group.generators:
-        gb = bytes(g.images) + _BYTE_RANGE[n:]
-        gib = bytes(_inverse_t(g.images))
-        gen_pairs.append((gib, gb))
-    if n > 255:
-        return _conjugacy_classes_tuples(group)
-    seen: set[bytes] = set()
+    k = _kernel(group.degree)
+    mul, table = k.mul, k.table
+    gen_pairs = _conjugators(group)
+    seen: set = set()
     out = []
-    tail = _BYTE_RANGE[n:]
     for b in _iter_elements_bytes(group):
         if b in seen:
             continue
         cls = {b}
         queue = [b]
         while queue:
-            x = queue.pop()
-            x_table = x + tail
-            for gib, gb in gen_pairs:
-                y = gib.translate(x_table).translate(gb)
-                if y not in cls:
-                    cls.add(y)
-                    queue.append(y)
-        seen |= cls
-        out.append((Permutation(tuple(b)), len(cls)))
-    return out
-
-
-def _conjugacy_classes_tuples(group: Group) -> list[tuple[Permutation, int]]:
-    gen_pairs = [
-        (_inverse_t(g.images), g.images) for g in group.generators
-    ]
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for t in _iter_elements_tuples(group):
-        if t in seen:
-            continue
-        cls = {t}
-        queue = [t]
-        while queue:
-            x = queue.pop()
+            x_table = table(queue.pop())
             for gi, g in gen_pairs:
-                y = _compose_t(_compose_t(gi, x), g)
+                y = mul(mul(gi, x_table), g)
                 if y not in cls:
                     cls.add(y)
                     queue.append(y)
         seen |= cls
-        out.append((Permutation(t), len(cls)))
+        out.append((Permutation._trusted(b), len(cls)))
     return out
 
 
@@ -334,7 +290,7 @@ def sylow_subgroup(
         ambient = group if current.is_trivial() else normalizer(group, current, cutoff)
         grown = False
         for images in iter_element_images(ambient):
-            x = Permutation(images)
+            x = Permutation._trusted(images)
             m = x.order()
             pp = _p_part(m, p)
             if pp == 1:
@@ -358,34 +314,32 @@ def p_core(group: Group, p: int, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> Gr
     if group.order % p != 0:
         return trivial_group(group.degree)
     sylow = sylow_subgroup(group, p, cutoff)
-    common = {t for t in iter_element_images(sylow)}
-    gen_pairs = [(_inverse_t(g.images), g.images) for g in group.generators]
+    k = _kernel(group.degree)
+    common = set(_iter_elements_bytes(sylow))
+    gen_pairs = _conjugators(group)
     seen_keys = {tuple(sorted(common))}
     queue = [sorted(common)]
     while queue and len(common) > 1:
         elems = queue.pop()
         for gi, g in gen_pairs:
-            conj = sorted(_compose_t(_compose_t(gi, t), g) for t in elems)
+            conj = sorted(k.mul(k.mul(gi, k.table(t)), g) for t in elems)
             key = tuple(conj)
             if key not in seen_keys:
                 seen_keys.add(key)
                 queue.append(conj)
                 common &= set(conj)
-    gens = [Permutation(t) for t in sorted(common)]
+    gens = [Permutation._trusted(t) for t in sorted(common)]
     core = build_group(gens or [Permutation(_identity_t(group.degree))])
     assert is_normal(group, core)
     return core
 
 
-def _power(p: Permutation, k: int) -> Permutation:
-    result = _identity_t(p.degree)
-    base = p.images
-    while k:
-        if k & 1:
-            result = _compose_t(result, base)
-        base = _compose_t(base, base)
-        k >>= 1
-    return Permutation(result)
+def _power(p: Permutation, e: int) -> Permutation:
+    images = list(range(p.degree))
+    for cycle in p.cycles():
+        for i, x in enumerate(cycle):
+            images[x] = cycle[(i + e) % len(cycle)]
+    return Permutation._trusted(images)
 
 
 def _is_prime(n: int) -> bool:
@@ -452,7 +406,7 @@ def is_cyclic(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
     _check_cutoff(group, cutoff, "cyclicity test")
     order = group.order
     for images in iter_element_images(group):
-        if Permutation(images).order() == order:
+        if Permutation._trusted(images).order() == order:
             return True
     return False
 
@@ -486,7 +440,7 @@ def fingerprint(
     if group.order <= cutoff:
         counts: Counter[int] = Counter()
         for images in iter_element_images(group):
-            counts[Permutation(images).order()] += 1
+            counts[Permutation._trusted(images).order()] += 1
         histogram = tuple(sorted(counts.items()))
         exponent = math.lcm(*counts.keys())
         center_order = center(group, cutoff).order

@@ -65,6 +65,13 @@ def test_analyze_exit_codes(tmp_path, capsys):
     broken.write_text("graph\nn 3\ne 0 0\n")
     assert run(["analyze", "--graph", str(broken), "--check", "s-degree"]) == 2
 
+    not_bijective = tmp_path / "bad.group"
+    not_bijective.write_text("group\ndegree 4\ng 1 0 2 3\ng 0 0 2 3\n")
+    argv = ["analyze", "--graph", str(good), "--group", str(not_bijective), "--check", "s-degree"]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert "bijection" in capsys.readouterr().err
+
     assert run(["analyze", "--graph", str(good), "--check", "unknown-check"]) == 2
 
 

@@ -187,3 +187,46 @@ def test_reduce_generators_preserves_group():
 def test_trivial_group():
     t = trivial_group(3)
     assert t.order == 1 and t.degree == 3
+
+
+@pytest.mark.parametrize("family", ["s5", "pgl2-7"])
+def test_chain_is_the_same_on_both_sides_of_the_byte_kernel(family):
+    # Degrees up to 255 compute with bytes, larger ones with tuples; the
+    # same generators embedded at each degree must give the same chain.
+    from edgeprim.families import pgl2
+    from edgeprim.structure import conjugacy_classes, elements
+
+    small = s5() if family == "s5" else pgl2(7)
+    m = small.degree
+
+    def embed(p, n):
+        return Permutation(p.images + tuple(range(m, n)))
+
+    rng = random.Random(11)
+    words = []
+    for _ in range(200):
+        word = identity(m)
+        for _ in range(rng.randint(1, 8)):
+            word = compose(word, rng.choice(small.generators))
+        words.append(word)
+
+    summaries = []
+    for n in (250, 255, 256, 300):
+        g = build_group([embed(p, n) for p in small.generators])
+        assert all(g.contains(embed(w, n)) for w in words)
+        # Non-members: a transposition with a point the group fixes, and
+        # for PGL(2,7) a transposition inside the projective line.
+        assert not g.contains(from_cycles(n, [(0, m)]))
+        assert not g.contains(from_cycles(n, [(0, 1), (m, n - 1)]))
+        if family == "pgl2-7":
+            assert not g.contains(from_cycles(n, [(0, 1)]))
+        summaries.append((
+            g.base,
+            g.order,
+            [[(b, t.images[:m]) for b, t in trans.items()] for trans in g.transversals],
+            [s.images[:m] for s in g.strong_generators],
+            sorted(size for _rep, size in conjugacy_classes(g)),
+            len(elements(g)),
+        ))
+    assert all(s == summaries[0] for s in summaries[1:])
+    assert summaries[0][1] == summaries[0][5] == small.order

@@ -39,6 +39,8 @@ def test_inverse_round_trip():
 
 def test_rejects_non_bijection():
     with pytest.raises(ValueError):
+        Permutation((0, 0))
+    with pytest.raises(ValueError):
         Permutation((0, 0, 1))
     with pytest.raises(ValueError):
         Permutation((0, 2))

@@ -95,14 +95,16 @@ def test_centralizer_of_normal_in_s4():
 def test_transitive_centralizer_does_not_enumerate(hs_aut, hs_core, monkeypatch):
     from edgeprim import structure
 
+    # Every enumeration, iter_element_images included, goes through the
+    # one raw enumerator.
     enumerated = []
-    original = structure.iter_element_images
+    original = structure._iter_elements_bytes
 
     def counting(group):
         enumerated.append(group.order)
         return original(group)
 
-    monkeypatch.setattr(structure, "iter_element_images", counting)
+    monkeypatch.setattr(structure, "_iter_elements_bytes", counting)
     assert len(hs_core.orbit(0)) == hs_core.degree
     assert centralizer(hs_aut, hs_core).order == 1
     assert enumerated == []
