@@ -180,6 +180,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except (OSError, fileio.FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ScaleLimitError as exc:
+        print(f"scale limit: {exc}", file=sys.stderr)
+        return EXIT_SCALE_LIMIT
     inputs = {
         "graph_file": Path(args.graph).name,
         "graph_sha256": fileio.sha256_of_file(args.graph),

@@ -14,8 +14,14 @@ import json
 from pathlib import Path
 
 from .perms import Permutation
-from .groups import Group, build_group
-from .graphs import Graph, build_graph
+from .groups import Group, ScaleLimitError, build_group
+from .graphs import AUTOMORPHISM_VERTEX_CAP, Graph, build_graph
+from .families import COSET_INDEX_CAP
+
+# The largest graph this package writes or searches: coset graphs from
+# ``construct`` reach COSET_INDEX_CAP vertices, and ``analyze --group``
+# reads them back without automorphism search.
+GRAPH_VERTEX_CAP = max(AUTOMORPHISM_VERTEX_CAP, COSET_INDEX_CAP)
 
 
 class FileFormatError(ValueError):
@@ -39,6 +45,8 @@ def write_graph(graph: Graph, path: str | Path) -> None:
 
 
 def parse_graph(text: str, source: str | Path = "<string>") -> Graph:
+    """Parse a graph file; a vertex count above :data:`GRAPH_VERTEX_CAP`
+    raises :class:`ScaleLimitError` before anything is allocated."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "graph":
         raise FileFormatError(source, 1, "expected 'graph' header")
@@ -56,6 +64,11 @@ def parse_graph(text: str, source: str | Path = "<string>") -> Graph:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise FileFormatError(source, num, "expected 'n <count>'")
             n = int(parts[1])
+            if n > GRAPH_VERTEX_CAP:
+                raise ScaleLimitError(
+                    f"{source}:{num}: graph has {n} vertices, above the cap of "
+                    f"{GRAPH_VERTEX_CAP}"
+                )
         elif parts[0] == "e":
             if n is None:
                 raise FileFormatError(source, num, "edge before 'n' line")

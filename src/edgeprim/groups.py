@@ -253,6 +253,22 @@ class Group:
         strong = [_kernel(self.degree).element(g.images) for g in self.strong_generators]
         return _Chain(self.degree, prefix, strong).suffix_group(len(prefix))
 
+    def _tail(self, i: int) -> "Group":
+        """The stabilizer of base[:i], read off this chain's levels from i on
+        without running Schreier-Sims again."""
+        fixed = self.base[:i]
+        strong = tuple(
+            g for g in self.strong_generators if all(g.images[b] == b for b in fixed)
+        ) or (Permutation._trusted(_identity_t(self.degree)),)
+        return Group(
+            degree=self.degree,
+            generators=strong,
+            base=self.base[i:],
+            strong_generators=strong,
+            transversals=self.transversals[i:],
+            _inverse_tables=self._inverse_tables[i:],
+        )
+
     def setwise_stabilizer(self, points: Sequence[int]) -> "Group":
         """Exact stabilizer of a small set of points.
 

@@ -1,12 +1,13 @@
 """Element-enumeration operations on small groups.
 
-Most operations here walk the full element list of a group.  Simplicity
-enumerates the group once, to find its conjugacy-class representatives,
-and then takes one normal closure per class without walking the class.
-The centralizer of a transitive subgroup is built from a point
-stabilizer's fixed points with no enumeration at all.  Every entry point is
-still gated by an explicit cutoff (default 10^6): exceeding it raises
-:class:`ScaleLimitError` rather than returning a wrong or partial answer.
+Most operations here walk the full element list of a group.  Two do not.
+Simplicity walks only a point stabilizer G_a and its cosets towards one
+point of each G_a-orbit, and takes at most one normal closure per
+conjugacy class (see :func:`is_simple`).  The centralizer of a transitive
+subgroup is built from a point stabilizer's fixed points with no
+enumeration at all.  Every entry point is still gated by an explicit
+cutoff (default 10^6): exceeding it raises :class:`ScaleLimitError`
+rather than returning a wrong or partial answer.
 
 Enumeration, class orbits and the commutation tests work on raw elements
 through the permutation kernel of :mod:`edgeprim.perms`: one body serves
@@ -28,6 +29,7 @@ from .groups import (
     DEFAULT_ENUMERATION_CUTOFF,
     Group,
     ScaleLimitError,
+    _Chain,
     _conjugators,
     build_group,
     derived_subgroup,
@@ -206,12 +208,31 @@ def conjugacy_classes(
 
 
 def is_simple(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
-    """Exact simplicity test via conjugacy-class closures.
+    """Exact simplicity test from a point stabilizer, never walking the group.
 
-    The group is simple iff the subgroup generated by the class of every
-    nontrivial element is the whole group.  That subgroup is the normal
-    closure of any one class member, so one enumeration (to find the class
-    representatives) and one normal closure per class decide it.
+    Let a be the first base point with a nontrivial orbit D, and H = G_a,
+    read off the group's own stabilizer chain.  A nontrivial normal
+    subgroup N either meets H or is semiregular on D (Seress, *Permutation
+    Group Algorithms*, 2003, ch. 6), and the group is simple iff every
+    element found below has the whole group as its normal closure:
+
+    1. N meets H: N then contains a representative of some nontrivial
+       conjugacy class of H.  This also catches the kernel of the action
+       on D, which lies in H.
+    2. N is semiregular: for each H-orbit on D - {a}, with representative
+       b, N has exactly one element c sending a to b.  Conjugating by
+       G_ab fixes it, so c commutes with H_b, moves every point of D and
+       lies in the coset H t_b, where t_b is the transversal element
+       sending a to b.
+
+    Normal closure is a class invariant, so once c passes, each of its
+    conjugates that step 2 could meet is marked and skipped: for a point x
+    of D, with y the image of x^c under t_x^-1 and u_y in H sending the
+    representative of y's H-orbit to y, the conjugate of c by t_x^-1 u_y^-1
+    lies in that representative's coset, and it depends only on the cycle
+    of c through x.  So step 2 takes at most one normal closure per
+    conjugacy class of the group, and walks at most |H| times the rank of
+    G on D elements.
     """
     order = group.order
     if order == 1:
@@ -221,11 +242,57 @@ def is_simple(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
     if is_abelian(group):
         return False
     _check_cutoff(group, cutoff, "simplicity test")
-    return all(
+    level = next(i for i, trans in enumerate(group.transversals) if len(trans) > 1)
+    alpha = group.base[level]
+    stab = group._tail(level + 1)
+    if not all(
         normal_closure(group, [rep]).order == order
-        for rep, _size in conjugacy_classes(group, cutoff)
+        for rep, _size in conjugacy_classes(stab, cutoff)
         if not rep.is_identity()
-    )
+    ):
+        return False
+    k = _kernel(group.degree)
+    mul, table = k.mul, k.table
+    # to[x] is t_x as a table, back[x] its inverse; home[y] is u_y and the
+    # inverse table of u_y, for every y in D - {a}.
+    to = {x: table(k.element(t.images)) for x, t in group.transversals[level].items()}
+    back = group._inverse_tables[level]
+    stab_strong = [k.element(g.images) for g in stab.strong_generators]
+    home = {}
+    cosets = []
+    for orbit in stab.orbits():
+        beta = orbit[0]
+        if beta == alpha or beta not in to:
+            continue
+        local = _Chain(group.degree, (beta,), stab_strong)
+        home.update(
+            (y, (u, local.inverses[0][y])) for y, u in local.transversals[0].items()
+        )
+        cosets.append((to[beta], list(map(table, local.strong_elements(1)))))
+    passed: set = set()
+    for t, commuting in cosets:
+        for h in _iter_elements_bytes(stab):
+            c = mul(h, t)
+            if c in passed:
+                continue
+            c_table = table(c)
+            if any(mul(c_table, g) != mul(g, c_table) for g in commuting) or any(
+                c[x] == x for x in to
+            ):
+                continue
+            if normal_closure(group, [Permutation._trusted(c)]).order != order:
+                return False
+            on_cycle: set = set()
+            for x in to:
+                if x in on_cycle:
+                    continue
+                y = x
+                while y not in on_cycle:
+                    on_cycle.add(y)
+                    y = c[y]
+                u, u_back = home[back[x][c[x]]]
+                passed.add(mul(mul(mul(mul(u, to[x]), c_table), back[x]), u_back))
+    return True
 
 
 def minimal_normal_subgroups(group: Group, bound: int = 10**5) -> list[Group]:

@@ -319,10 +319,11 @@ def test_three_arc_k5_sides_agree_negatively():
 
 
 def test_three_arc_reference_fingerprints_follow_the_cutoff(hs_core, hs_graph):
-    # At a cutoff below the vertex-stabilizer order (2520), histogram fields
-    # are absent from the tested fingerprint; the reference must be computed
-    # at the same cutoff or the comparison would spuriously mismatch and
-    # unsoundly report "not isomorphic".
+    # At a cutoff below the vertex-stabilizer order (2520) the alternating-7
+    # witness must still hold: it rests on the core's order, not on an
+    # enumeration-priced fingerprint.  The symmetric-6 reference must be
+    # computed at the same cutoff as the edge stabilizer, or the comparison
+    # could spuriously mismatch and unsoundly report "not isomorphic".
     cert = three_arc_criterion(
         Analysis(hs_core, hs_graph, config=RunConfig(enumeration_cutoff=1000))
     )

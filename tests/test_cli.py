@@ -75,6 +75,40 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert run(["analyze", "--graph", str(good), "--check", "unknown-check"]) == 2
 
 
+def test_analyze_oversized_graph_is_a_scale_limit(tmp_path, capsys, monkeypatch):
+    from edgeprim import fileio
+
+    def must_not_build(n, edges):
+        raise AssertionError(f"build_graph called with n={n}")
+
+    monkeypatch.setattr(fileio, "build_graph", must_not_build)
+    huge = tmp_path / "huge.graph"
+    huge.write_text("graph\nn 1000000000\n")
+    capsys.readouterr()
+    assert run(["analyze", "--graph", str(huge), "--check", "s-degree"]) == 3
+    err = capsys.readouterr().err
+    assert "1000000000" in err and "cap of 10000" in err
+
+
+def test_analyze_reads_a_graph_above_the_search_cap_with_its_group(tmp_path, capsys):
+    # Coset graphs reach 10^4 vertices and come with a group file, so a
+    # graph past the automorphism-search cap (1000) still analyzes.
+    from edgeprim.families import cycle_graph
+
+    n = 1001
+    graph, group = tmp_path / "c1001.graph", tmp_path / "d1001.group"
+    write_graph(cycle_graph(n), graph)
+    rotation = from_cycles(n, [tuple(range(n))])
+    reflection = from_cycles(n, [(i, n - i) for i in range(1, (n + 1) // 2)])
+    write_group(build_group([rotation, reflection]), group)
+    capsys.readouterr()
+    argv = ["analyze", "--graph", str(graph), "--group", str(group)]
+    assert run(argv + ["--check", "edge-primitive"]) == 1
+    assert "edge-primitive: fail" in capsys.readouterr().out
+    # Without a group the automorphism search refuses it instead.
+    assert run(["analyze", "--graph", str(graph), "--check", "edge-primitive"]) == 3
+
+
 def test_local_structure_on_edgeless_graph_is_a_usage_error(tmp_path, capsys):
     edgeless = tmp_path / "empty.graph"
     edgeless.write_text("graph\nn 3\n")

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from edgeprim import build_group, from_cycles, heawood, petersen
+from edgeprim import ScaleLimitError, build_group, from_cycles, heawood, petersen
+from edgeprim import fileio
 from edgeprim.fileio import (
     FileFormatError,
     graph_to_text,
@@ -43,6 +44,26 @@ def test_graph_parse_errors_carry_line_numbers():
     assert exc.value.line == 3 and "out of range" in str(exc.value)
     with pytest.raises(FileFormatError):
         parse_graph("nope\n")
+
+
+def test_graph_vertex_cap_is_checked_before_allocation(monkeypatch):
+    # Building the graph would allocate one adjacency list per vertex; the
+    # cap must refuse the count first.
+    def must_not_build(n, edges):
+        raise AssertionError(f"build_graph called with n={n}")
+
+    monkeypatch.setattr(fileio, "build_graph", must_not_build)
+    with pytest.raises(ScaleLimitError) as exc:
+        parse_graph("graph\nn 1000000000\n", "huge.graph")
+    assert "1000000000" in str(exc.value) and "10000" in str(exc.value)
+    with pytest.raises(ScaleLimitError):
+        parse_graph("graph\nn 10001\ne 0 1\n")
+    monkeypatch.undo()
+    # The cap is the largest graph the package writes (a coset graph of
+    # index 10^4), not the automorphism-search cap of 1000.
+    assert fileio.GRAPH_VERTEX_CAP == 10**4
+    assert parse_graph("graph\nn 1001\ne 0 1000\n").n == 1001
+    assert parse_graph("graph\nn 10000\ne 0 9999\n").n == 10000
 
 
 def test_group_round_trip(tmp_path):

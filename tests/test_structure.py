@@ -1,6 +1,11 @@
+import itertools
+import random
+from collections import Counter
+
 import pytest
 
 from edgeprim import (
+    Permutation,
     ScaleLimitError,
     build_group,
     center,
@@ -20,7 +25,10 @@ from edgeprim import (
     p_core,
     sylow_subgroup,
 )
-from brute import brute_closure, brute_normalizer
+from edgeprim.families import agammal1, agl1, pgl2, psl2
+from edgeprim.groups import is_abelian, normal_closure
+from edgeprim.structure import _is_prime
+from brute import brute_closure, brute_normalizer, compose_t, inverse_t
 
 
 def s3():
@@ -148,6 +156,226 @@ def test_simplicity():
     assert not is_simple(z6)
     with pytest.raises(ValueError):
         is_simple(build_group([from_cycles(2, [])]))
+
+
+def _class_closure_is_simple(group):
+    """Reference: simple iff the normal closure of every nontrivial class
+    representative of the whole group is the whole group."""
+    order = group.order
+    if _is_prime(order):
+        return True
+    if is_abelian(group):
+        return False
+    return all(
+        normal_closure(group, [rep]).order == order
+        for rep, _size in conjugacy_classes(group)
+        if not rep.is_identity()
+    )
+
+
+def _a4():
+    return build_group([from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(0, 1), (2, 3)])])
+
+
+def _m11():
+    a = from_cycles(11, [tuple(range(11))])
+    b = from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])
+    return build_group([a, b])
+
+
+def _on_elements(group, maps):
+    """The group generated by maps of a group to itself, on its elements."""
+    elems = sorted(brute_closure([p.images for p in group.generators]))
+    index = {x: i for i, x in enumerate(elems)}
+    return build_group([Permutation(tuple(index[f(x)] for x in elems)) for f in maps])
+
+
+def _on_a5_elements(maps):
+    return _on_elements(a5(), maps)
+
+
+def _a5_times_a5_on_a5():
+    """A5 x A5 acting on A5 by x -> a^-1 x b: both factors are regular."""
+    gens = [p.images for p in a5().generators]
+    left = [lambda x, a=a: compose_t(inverse_t(a), x) for a in gens]
+    right = [lambda x, b=b: compose_t(x, b) for b in gens]
+    return _on_a5_elements(left + right)
+
+
+def _right_regular(group):
+    return _on_elements(
+        group, [lambda x, b=b.images: compose_t(x, b) for b in group.generators]
+    )
+
+
+def _right_regular_a5():
+    return _right_regular(a5())
+
+
+def _on_points_and_pairs(group):
+    """A group of degree 5 acting on its 5 points and its 10 pairs."""
+    pairs = list(itertools.combinations(range(5), 2))
+    index = {pair: 5 + i for i, pair in enumerate(pairs)}
+    return build_group([
+        Permutation(
+            g.images + tuple(index[tuple(sorted((g(a), g(b))))] for a, b in pairs)
+        )
+        for g in group.generators
+    ])
+
+
+def _on_copies(first, second):
+    """The group generated by f on points 0..4 together with s on points
+    5..9, for each pair (f, s); equal lists give a diagonal action."""
+    return build_group([
+        Permutation(f.images + tuple(5 + x for x in s.images))
+        for f, s in zip(first, second)
+    ])
+
+
+def _product_action(left, right):
+    """left x right on the 25 pairs (i, j), i.e. point 5i + j."""
+    ident = tuple(range(5))
+    gens = [(g.images, ident) for g in left.generators]
+    gens += [(ident, g.images) for g in right.generators]
+    return build_group([
+        Permutation(tuple(5 * a[i] + b[j] for i in range(5) for j in range(5)))
+        for a, b in gens
+    ])
+
+
+def _direct_product_on_copies(left, right):
+    ident = Permutation(tuple(range(5)))
+    gens = [(g, ident) for g in left.generators]
+    gens += [(ident, g) for g in right.generators]
+    return _on_copies([a for a, _ in gens], [b for _, b in gens])
+
+
+def _simplicity_cases(hs_core):
+    cases = {}
+    for q in (5, 7, 8, 9, 11):
+        cases[f"PSL(2,{q})"] = (psl2(q), True)
+        cases[f"PGL(2,{q})"] = (pgl2(q), q == 8)
+    for q in (5, 7, 8, 9):
+        cases[f"AGL(1,{q})"] = (agl1(q), False)
+        cases[f"AGammaL(1,{q})"] = (agammal1(q), False)
+    a5_gens, s5_gens = a5().generators, s5().generators
+    cases.update({
+        "A4 on 4": (_a4(), False),
+        "S4 on 4": (s4(), False),
+        "A5xA5 on 60": (_a5_times_a5_on_a5(), False),
+        "right-regular A5 on 60": (_right_regular_a5(), True),
+        "A5 on 5+10": (_on_points_and_pairs(a5()), True),
+        "S5 on 5+10": (_on_points_and_pairs(s5()), False),
+        "A5xA5 on 5+5": (_direct_product_on_copies(a5(), a5()), False),
+        "diagonal A5 on 5+5": (_on_copies(a5_gens, a5_gens), True),
+        "diagonal S5 on 5+5": (_on_copies(s5_gens, s5_gens), False),
+        "A5xA5 on 25": (_product_action(a5(), a5()), False),
+        "M11": (_m11(), True),
+        "HS core": (hs_core, True),
+    })
+    return cases
+
+
+def test_is_simple_agrees_with_class_closures(hs_core):
+    for name, (group, expected) in _simplicity_cases(hs_core).items():
+        assert is_simple(group) == expected, name
+        assert _class_closure_is_simple(group) == expected, name
+
+
+def test_is_simple_agrees_with_class_closures_on_random_subgroups():
+    # Seeded random subgroups of intransitive and imprimitive ambients.
+    rng = random.Random(4051)
+    ambients = [
+        _direct_product_on_copies(s5(), s5()),
+        _product_action(s5(), a5()),
+        _a5_times_a5_on_a5(),
+    ]
+    checked = Counter()
+    for ambient in ambients:
+        for _ in range(8):
+            words = [
+                [rng.choice(ambient.generators) for _ in range(rng.randint(1, 6))]
+                for _ in range(rng.randint(1, 2))
+            ]
+            gens = []
+            for word in words:
+                images = tuple(range(ambient.degree))
+                for g in word:
+                    images = compose_t(images, g.images)
+                gens.append(Permutation(images))
+            sub = build_group(gens)
+            if sub.order == 1:
+                continue
+            verdict = is_simple(sub)
+            assert verdict == _class_closure_is_simple(sub), [g.images for g in gens]
+            checked[verdict] += 1
+    assert checked[True] and checked[False]
+
+
+def test_is_simple_walks_only_a_point_stabilizer(hs_core, monkeypatch):
+    from edgeprim import structure
+
+    walked = Counter()
+    original = structure._iter_elements_bytes
+
+    def counting(group):
+        for element in original(group):
+            walked[group.order] += 1
+            yield element
+
+    monkeypatch.setattr(structure, "_iter_elements_bytes", counting)
+    assert is_simple(hs_core)
+    # The point stabilizer is A7 (order 2520) and the rank is 3: its
+    # classes, then one coset for each of the two nontrivial suborbits.
+    assert hs_core.order not in walked
+    assert sum(walked.values()) <= 3 * 2520
+    walked.clear()
+    # An orbit with a nontrivial kernel is caught by the classes of the
+    # point stabilizer A4 x A5 (order 720), the only group walked.
+    product = _direct_product_on_copies(a5(), a5())
+    assert not is_simple(product)
+    assert product.order not in walked
+    assert sum(walked.values()) <= product.order // 5
+
+
+def _on_cosets_of_an_element(group, element_order):
+    from edgeprim.actions import coset_action
+    from edgeprim.structure import elements
+
+    x = next(g for g in elements(group) if g.order() == element_order)
+    return coset_action(group, build_group([x])).image
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _right_regular(psl2(5)),
+        lambda: _right_regular(psl2(7)),
+        lambda: _on_cosets_of_an_element(psl2(7), 3),
+    ],
+    ids=["right-regular A5", "right-regular PSL(2,7)", "PSL(2,7) on 56 cosets"],
+)
+def test_is_simple_takes_one_closure_per_class(make, monkeypatch):
+    # With a small point stabilizer almost every fixed-point-free element of
+    # a coset is a semiregular candidate.  Marking the conjugates of each
+    # candidate that passes keeps step (2) to one normal closure per class
+    # of the group, as a class walk over the whole group would take; step
+    # (1) takes one per class of the point stabilizer.
+    from edgeprim import structure
+
+    group = make()
+    closures = []
+
+    def counting(group, seeds):
+        closures.append(seeds)
+        return normal_closure(group, seeds)
+
+    monkeypatch.setattr(structure, "normal_closure", counting)
+    assert is_simple(group)
+    stab = group.point_stabilizer(group.base[0])
+    bound = len(conjugacy_classes(stab)) - 1 + len(conjugacy_classes(group)) - 1
+    assert len(closures) <= bound
 
 
 def test_conjugacy_class_sizes_sum_to_order():
