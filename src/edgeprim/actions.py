@@ -67,8 +67,9 @@ def _induced_action(
         image_gens.append(Permutation(tuple(images)))
     if not image_gens:
         image_gens = [Permutation(_identity_t(len(labels)))]
-    image = build_group(image_gens)
     order = group.order
+    # The image's order divides the group's; reaching it means faithful.
+    image = build_group(image_gens, order=order)
     image_order = image.order
     if order % image_order != 0:
         raise AssertionError("image order must divide group order")
@@ -323,7 +324,7 @@ def coset_action(group: Group, sub: Group, max_index: int = 10**5) -> Action:
     image_gens = [Permutation(table.image_of(g.images)) for g in group.generators]
     if not image_gens:
         image_gens = [Permutation(_identity_t(table.index))]
-    image = build_group(image_gens)
+    image = build_group(image_gens, order=group.order)
     return Action(
         group=group,
         domain_labels=tuple((i,) for i in range(table.index)),

@@ -8,8 +8,9 @@ reproducible across runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .perms import Permutation, _identity_t, _kernel
 from .groups import (
@@ -117,11 +118,24 @@ _MAX_Q = 64
 
 @dataclass(frozen=True, eq=False)
 class FiniteField:
-    """GF(p^k) with elements as length-k coefficient tuples over GF(p)."""
+    """GF(p^k) with elements as length-k coefficient tuples over GF(p).
+
+    Addition and multiplication read tables of all q^2 pairs, built once
+    from the polynomial arithmetic (:meth:`_poly_add`, :meth:`_poly_mul`).
+    """
 
     p: int
     k: int
     modulus: tuple[int, ...]
+    _add: dict = field(init=False, repr=False)
+    _mul: dict = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.q > _MAX_Q:
+            raise ValueError(f"field size {self.q} out of supported range (<= {_MAX_Q})")
+        pairs = list(itertools.product(self.elements(), repeat=2))
+        object.__setattr__(self, "_add", {ab: self._poly_add(*ab) for ab in pairs})
+        object.__setattr__(self, "_mul", {ab: self._poly_mul(*ab) for ab in pairs})
 
     @property
     def q(self) -> int:
@@ -153,12 +167,18 @@ class FiniteField:
         return sum(c * self.p**i for i, c in enumerate(element))
 
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return self._add[a, b]
+
+    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return self._mul[a, b]
+
+    def _poly_add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((-x) % self.p for x in a)
 
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    def _poly_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         prod = [0] * (2 * self.k - 1)
         for i, x in enumerate(a):
             if x:
@@ -209,6 +229,7 @@ class FiniteField:
         return self.power(a, self.p)
 
 
+@functools.lru_cache(maxsize=None)
 def gf(p: int, k: int = 1) -> FiniteField:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -404,14 +425,14 @@ def coset_graph(spec: CosetGraphSpec) -> tuple[Graph, Action]:
 
     from .graphs import is_connected
 
-    generated = build_group(list(sub.generators) + [a])
+    generated = build_group(list(sub.generators) + [a], order=group.order)
     if is_connected(graph) != (generated.order == group.order):
         raise AssertionError(
             "connectivity must match whether subgroup and connector generate"
         )
 
     image_gens = [Permutation(table.image_of(g.images)) for g in group.generators]
-    image = build_group(image_gens)
+    image = build_group(image_gens, order=group.order)
     action = Action(
         group=group,
         domain_labels=tuple((i,) for i in range(index)),

@@ -371,7 +371,8 @@ def automorphism_group(graph: Graph) -> Group:
     n = graph.n
     if n > AUTOMORPHISM_VERTEX_CAP:
         raise ScaleLimitError(
-            f"automorphism search capped at {AUTOMORPHISM_VERTEX_CAP} vertices"
+            f"automorphism search capped at {AUTOMORPHISM_VERTEX_CAP} vertices; "
+            f"graph has {n}"
         )
     adjacency = graph.adjacency
     edge_set = set(graph.edges)

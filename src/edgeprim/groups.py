@@ -17,6 +17,20 @@ up to degree 255, image tuples past it.  Only the frozen :class:`Group`
 wraps its generators and transversals as :class:`Permutation` objects,
 without re-validating them; it keeps each representative's inverse table so
 that :meth:`Group.contains` sifts without inverting anything.
+
+Known-order stop.  A chain may be given the order of a group that contains
+every generator added to it, and it stops as soon as the product of its
+transversal sizes reaches that order.  This is exact (Seress, *Permutation
+Group Algorithms*, 2003, ch. 4): with strong generators S, the products of
+one representative per level are distinct elements of <S>, so the product
+of the transversal sizes is at most |<S>|.  Once it equals the bound, <S>
+is the bounding group, every element of it sifts to the identity, every
+level orbit is complete, and every Schreier generator still pending would
+sift to the identity.  The stopped chain therefore has the same base,
+transversals, strong generators and generator levels as the full build.
+Only orders already proved may be passed: the order of the group being
+rebased, or the order of an ambient group as an upper bound for a subgroup
+or an image, where reaching it proves the result is the whole group.
 """
 
 from __future__ import annotations
@@ -40,11 +54,17 @@ class _Chain:
 
     Works on raw kernel elements: transversal representatives are elements,
     their inverses and the strong generators are tables (see
-    :func:`edgeprim.perms._kernel`).
+    :func:`edgeprim.perms._kernel`).  With ``order`` given, the chain stops
+    growing once it reaches it (the known-order stop in the module
+    docstring), and every later generator is taken to be in it already.
     """
 
     def __init__(
-        self, degree: int, base_prefix: Sequence[int] = (), generators: Iterable = ()
+        self,
+        degree: int,
+        base_prefix: Sequence[int] = (),
+        generators: Iterable = (),
+        order: int | None = None,
     ):
         self.degree = degree
         self.kernel = k = _kernel(degree)
@@ -56,6 +76,10 @@ class _Chain:
         self.done: list[set[tuple[int, int]]] = []
         self.strong: list[object] = []
         self.level_of: list[int] = []
+        # The product of the transversal sizes, and the proven order of a
+        # group containing every generator added (None when unknown).
+        self.size = 1
+        self.bound = order
         for pt in dict.fromkeys(base_prefix):
             self._new_level(pt)
         for g in generators:
@@ -78,7 +102,7 @@ class _Chain:
         inv = self.inverses[i]
         gens = [self.strong[j] for j in self._level_gen_ids(i)]
         queue = list(trans)
-        head = 0
+        head, head_size = 0, len(queue)
         while head < len(queue):
             a = queue[head]
             head += 1
@@ -89,6 +113,12 @@ class _Chain:
                     trans[b] = u = mul(t, g)
                     inv[b] = inverse_table(u)
                     queue.append(b)
+        if len(queue) != head_size:
+            self.size = self.size // head_size * len(queue)
+
+    def full(self) -> bool:
+        """Whether the chain has reached its bound, so it is complete."""
+        return self.size == self.bound
 
     def sift(self, p, start: int = 0) -> tuple[object, int]:
         """Strip p through the chain; return (residue, level stopped at).
@@ -120,6 +150,8 @@ class _Chain:
         mul, identity = self.kernel.mul, self.identity
         while True:
             self._extend_transversal(i)
+            if self.full():
+                return
             trans = self.transversals[i]
             inv = self.inverses[i]
             done = self.done[i]
@@ -139,18 +171,24 @@ class _Chain:
                         self._install(residue, depth)
                         for lvl in range(depth, i, -1):
                             self._complete(lvl)
+                            if self.full():
+                                return
                         dirty = True
             if not dirty:
                 return
 
     def add_generator(self, g) -> bool:
         """Extend the chain by g; False (and no change) when g is already in it."""
+        if self.full():
+            return False
         residue, depth = self.sift(g)
         if residue == self.identity:
             return False
         self._install(residue, depth)
         for lvl in range(depth, -1, -1):
             self._complete(lvl)
+            if self.full():
+                break
         return True
 
     def strong_elements(self, k: int) -> list:
@@ -174,7 +212,8 @@ class _Chain:
                 {b: wrap(t) for b, t in trans.items()}
                 for trans in self.transversals[k:]
             ),
-            _inverse_tables=tuple(self.inverses[k:]),
+            # Copied: a chain may grow after it is frozen.
+            _inverse_tables=tuple(map(dict, self.inverses[k:])),
         )
 
 
@@ -251,7 +290,8 @@ class Group:
             self._check_point(p)
         prefix = tuple(dict.fromkeys(points))
         strong = [_kernel(self.degree).element(g.images) for g in self.strong_generators]
-        return _Chain(self.degree, prefix, strong).suffix_group(len(prefix))
+        chain = _Chain(self.degree, prefix, strong, self.order)
+        return chain.suffix_group(len(prefix))
 
     def _tail(self, i: int) -> "Group":
         """The stabilizer of base[:i], read off this chain's levels from i on
@@ -285,15 +325,19 @@ class Group:
             raise ValueError("setwise stabilizer of the empty set is not supported")
         for p in pts:
             self._check_point(p)
-        gens = list(self.pointwise_stabilizer(pts).generators)
+        fixing = self.pointwise_stabilizer(pts)
+        gens = list(fixing.generators)
         src = tuple(pts)
+        patterns = 1
         for image in itertools.permutations(pts):
             if image == src:
                 continue
             rep = element_mapping(self, src, image)
             if rep is not None:
                 gens.append(rep)
-        return build_group(gens or [Permutation(_identity_t(self.degree))])
+                patterns += 1
+        # Each realized pattern is one coset of the pointwise stabilizer.
+        return build_group(gens, order=fixing.order * patterns)
 
     def _check_point(self, point: int) -> None:
         if not 0 <= point < self.degree:
@@ -307,9 +351,16 @@ class Group:
 
 
 def build_group(
-    generators: Iterable[Permutation], base_prefix: Sequence[int] = ()
+    generators: Iterable[Permutation],
+    base_prefix: Sequence[int] = (),
+    order: int | None = None,
 ) -> Group:
-    """Deterministic Schreier-Sims construction from a generator sequence."""
+    """Deterministic Schreier-Sims construction from a generator sequence.
+
+    ``order``, if given, must be the proven order of a group containing
+    every generator; the build stops once the chain reaches it, with the
+    same result as without it (see the module docstring).
+    """
     gens = list(generators)
     if not gens:
         raise ValueError("empty generator list")
@@ -318,7 +369,7 @@ def build_group(
         if g.degree != degree:
             raise ValueError(f"degree mismatch: {g.degree} != {degree}")
     element = _kernel(degree).element
-    chain = _Chain(degree, base_prefix, [element(g.images) for g in gens])
+    chain = _Chain(degree, base_prefix, [element(g.images) for g in gens], order)
     return chain.suffix_group(0, gens)
 
 
@@ -340,20 +391,24 @@ def element_mapping(
         return Permutation(_identity_t(group.degree))
     k = _kernel(group.degree)
     strong = [k.element(g.images) for g in group.strong_generators]
-    found = _map_points(group.degree, strong, tuple(src), tuple(dst))
+    found = _map_points(group.degree, strong, group.order, tuple(src), tuple(dst))
     return None if found is None else Permutation._trusted(found)
 
 
-def _map_points(degree: int, strong: list, src: tuple, dst: tuple):
-    """:func:`element_mapping` on the group generated by the elements
-    ``strong``; returns an element or None."""
-    chain = _Chain(degree, (src[0],), strong)
+def _map_points(degree: int, strong: list, order: int, src: tuple, dst: tuple):
+    """:func:`element_mapping` on the group of the given order generated by
+    the elements ``strong``; returns an element or None."""
+    chain = _Chain(degree, (src[0],), strong, order)
     rep = chain.transversals[0].get(dst[0])
     if rep is None or len(src) == 1:
         return rep
     rep_inv = chain.inverses[0][dst[0]]
     inner = _map_points(
-        degree, chain.strong_elements(1), src[1:], tuple(rep_inv[d] for d in dst[1:])
+        degree,
+        chain.strong_elements(1),
+        order // len(chain.transversals[0]),
+        src[1:],
+        tuple(rep_inv[d] for d in dst[1:]),
     )
     if inner is None:
         return None
@@ -400,6 +455,8 @@ def normal_closure(group: Group, seeds: Iterable[Permutation]) -> Group:
     One chain grows by every conjugate it does not yet contain; its
     generating set is the seeds followed by those conjugates in the order
     they were met, so the result equals ``build_group`` of that sequence.
+    The chain is bounded by the order of the group: once it reaches it the
+    closure is the whole group, and conjugation stops.
     """
     seed_list = [s for s in seeds if not s.is_identity()]
     for s in seed_list:
@@ -409,12 +466,14 @@ def normal_closure(group: Group, seeds: Iterable[Permutation]) -> Group:
         return trivial_group(group.degree)
     k = _kernel(group.degree)
     frontier = [k.element(s.images) for s in seed_list]
-    chain = _Chain(group.degree, (), frontier)
+    chain = _Chain(group.degree, (), frontier, group.order)
     gens = list(seed_list)
     gen_pairs = _conjugators(group)
     while frontier:
         new = []
         for h in frontier:
+            if chain.full():
+                break
             h_table = k.table(h)
             for g_inv, g in gen_pairs:
                 conj = k.mul(k.mul(g_inv, h_table), g)
@@ -464,18 +523,20 @@ def is_abelian(group: Group) -> bool:
 
 
 def reduce_generators(group: Group) -> Group:
-    """Same group, re-built from a greedily chosen small generating subset."""
-    chosen: list[Permutation] = []
-    partial = None
+    """Same group, re-built from a greedily chosen small generating subset.
+
+    One chain, bounded by the group's order, grows by each generator and
+    strong generator it does not yet contain, until it is full; the result
+    equals ``build_group`` of the chosen sequence.
+    """
+    k = _kernel(group.degree)
+    chain = _Chain(group.degree, order=group.order)
+    chosen = []
     for g in list(group.generators) + list(group.strong_generators):
-        if g.is_identity():
-            continue
-        if partial is not None and partial.contains(g):
-            continue
-        chosen.append(g)
-        partial = build_group(chosen)
-        if partial.order == group.order:
+        if chain.full():
             break
-    if partial is None:
+        if chain.add_generator(k.element(g.images)):
+            chosen.append(g)
+    if not chosen:
         return trivial_group(group.degree)
-    return partial
+    return chain.suffix_group(0, chosen)

@@ -9,15 +9,16 @@ that the group machinery computed itself are wrapped unchecked.
 The group machinery does its arithmetic on raw elements through one private
 kernel per degree (:func:`_kernel`).  Up to degree 255 an element is an
 n-byte ``bytes`` and a product is one ``bytes.translate`` call; past that
-an element is an image tuple composed in Python.  Both forms index like
-the image tuple, compare equal exactly when the permutations are equal and
-sort in the same order as the image tuples.
+an element is an image tuple and a product is one ``operator.itemgetter``
+call.  Both forms index like the image tuple, compare equal exactly when
+the permutations are equal and sort in the same order as the image tuples.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable
@@ -53,8 +54,11 @@ def _kernel(n: int) -> SimpleNamespace:
     an image tuple into an element and ``tuple`` turns it back.
     """
     if n > 255:
+        # One itemgetter call per product; it returns a tuple since n > 1.
         return SimpleNamespace(
-            identity=_identity_t(n), mul=_compose_t, table=lambda p: p,
+            identity=_identity_t(n),
+            mul=lambda p, q: operator.itemgetter(*p)(q),
+            table=lambda p: p,
             inverse=_inverse_t, inverse_table=_inverse_t, element=tuple,
         )
     ident, tail = _BYTE_RANGE[:n], _BYTE_RANGE[n:]

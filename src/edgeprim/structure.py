@@ -83,22 +83,32 @@ def elements(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> list[Per
 def normalizer(
     group: Group, sub: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF
 ) -> Group:
-    """N_group(sub), by enumerating the ambient group's elements."""
+    """N_group(sub), by enumerating the ambient group's elements.
+
+    One chain, bounded by the group's order, grows by each normalizing
+    element it does not yet contain; the enumeration stops once the chain
+    is the whole group.  The result equals ``build_group`` of sub's
+    generators followed by the elements added, in enumeration order.
+    """
     if not is_subgroup(group, sub):
         raise ValueError("candidate is not a subgroup")
     _check_cutoff(group, cutoff, "normalizer")
     k = _kernel(group.degree)
     sub_tables = [h for _inverse, h in _conjugators(sub)]
-    found = build_group(list(sub.generators) or [Permutation(_identity_t(group.degree))])
+    gens = list(sub.generators) or [Permutation(_identity_t(group.degree))]
+    chain = _Chain(group.degree, (), (k.element(h.images) for h in gens), group.order)
     for p in _iter_elements_bytes(group):
-        if found._contains_element(p):
+        if chain.full():
+            break
+        if chain.sift(p)[0] == k.identity:
             continue
         inv, p_table = k.inverse(p), k.table(p)
         if all(
             sub._contains_element(k.mul(k.mul(inv, h), p_table)) for h in sub_tables
         ):
-            found = build_group(list(found.generators) + [Permutation._trusted(p)])
-    return found
+            chain.add_generator(p)
+            gens.append(Permutation._trusted(p))
+    return chain.suffix_group(0, gens)
 
 
 def centralizer(
@@ -120,16 +130,17 @@ def centralizer(
     mul, table = k.mul, k.table
     sub_tables = [h for _inverse, h in _conjugators(sub)]
     gens: list[Permutation] = []
-    found = trivial_group(group.degree)
+    chain = _Chain(group.degree, order=group.order)
     for p in _iter_elements_bytes(group):
+        if chain.full():
+            break
         p_table = table(p)
         if any(
             mul(p_table, h) != mul(h, p_table) for h in sub_tables
-        ) or found._contains_element(p):
+        ) or not chain.add_generator(p):
             continue
         gens.append(Permutation._trusted(p))
-        found = build_group(gens)
-    return found
+    return chain.suffix_group(0, gens) if gens else trivial_group(group.degree)
 
 
 def _transitive_centralizer(group: Group, sub: Group) -> Group:
@@ -264,7 +275,7 @@ def is_simple(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
         beta = orbit[0]
         if beta == alpha or beta not in to:
             continue
-        local = _Chain(group.degree, (beta,), stab_strong)
+        local = _Chain(group.degree, (beta,), stab_strong, stab.order)
         home.update(
             (y, (u, local.inverses[0][y])) for y, u in local.transversals[0].items()
         )
@@ -335,7 +346,8 @@ def normal_subgroups(group: Group, bound: int = 10**5) -> list[Group]:
         for i in range(len(found)):
             for j in range(i + 1, len(found)):
                 join = build_group(
-                    list(found[i].generators) + list(found[j].generators)
+                    list(found[i].generators) + list(found[j].generators),
+                    order=group.order,
                 )
                 if not any(same_subgroup(join, seen) for seen in found):
                     found.append(join)
@@ -347,11 +359,18 @@ def normal_subgroups(group: Group, bound: int = 10**5) -> list[Group]:
 def sylow_subgroup(
     group: Group, p: int, cutoff: int = DEFAULT_ENUMERATION_CUTOFF
 ) -> Group:
-    """A Sylow p-subgroup, grown by p-elements of the current normalizer."""
+    """A Sylow p-subgroup, grown by p-elements of the current normalizer.
+
+    One chain grows by each new p-element; the result equals
+    ``build_group`` of those elements in the order they were found.
+    """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     _check_cutoff(group, cutoff, "Sylow subgroup search")
     target = _p_part(group.order, p)
+    k = _kernel(group.degree)
+    chain = _Chain(group.degree)
+    gens: list[Permutation] = []
     current = trivial_group(group.degree)
     while current.order < target:
         ambient = group if current.is_trivial() else normalizer(group, current, cutoff)
@@ -363,8 +382,9 @@ def sylow_subgroup(
             if pp == 1:
                 continue
             y = _power(x, m // pp)
-            if not current.contains(y):
-                current = build_group(list(current.generators) + [y])
+            if chain.add_generator(k.element(y.images)):
+                gens.append(y)
+                current = chain.suffix_group(0, gens)
                 grown = True
                 break
         if not grown:

@@ -105,8 +105,10 @@ def test_analyze_reads_a_graph_above_the_search_cap_with_its_group(tmp_path, cap
     argv = ["analyze", "--graph", str(graph), "--group", str(group)]
     assert run(argv + ["--check", "edge-primitive"]) == 1
     assert "edge-primitive: fail" in capsys.readouterr().out
-    # Without a group the automorphism search refuses it instead.
+    # Without a group the automorphism search refuses it instead, naming
+    # both the cap and the graph's size.
     assert run(["analyze", "--graph", str(graph), "--check", "edge-primitive"]) == 3
+    assert "capped at 1000 vertices; graph has 1001" in capsys.readouterr().err
 
 
 def test_local_structure_on_edgeless_graph_is_a_usage_error(tmp_path, capsys):

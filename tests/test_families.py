@@ -4,6 +4,7 @@ import pytest
 
 from edgeprim import (
     CosetGraphSpec,
+    FiniteField,
     agammal1,
     agl1,
     automorphism_group,
@@ -68,6 +69,16 @@ def test_field_axioms_exhaustively(p, k):
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_field_tables_match_polynomial_arithmetic(p, k):
+    field = gf(p, k)
+    pairs = list(itertools.product(field.elements(), repeat=2))
+    assert len(pairs) == field.q**2
+    for a, b in pairs:
+        assert field.add(a, b) == field._poly_add(a, b)
+        assert field.mul(a, b) == field._poly_mul(a, b)
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_multiplicative_group_cyclic(p, k):
     field = gf(p, k)
     prim = field.primitive_element()
@@ -79,6 +90,8 @@ def test_field_range_gates():
         gf(4, 1)
     with pytest.raises(ValueError):
         gf(2, 7)
+    with pytest.raises(ValueError):
+        FiniteField(p=2, k=7, modulus=(1, 1, 0, 0, 0, 0, 0))
 
 
 def test_pgl2_7():

@@ -230,3 +230,88 @@ def test_chain_is_the_same_on_both_sides_of_the_byte_kernel(family):
         ))
     assert all(s == summaries[0] for s in summaries[1:])
     assert summaries[0][1] == summaries[0][5] == small.order
+
+
+def _chain_state(chain):
+    return (
+        chain.points,
+        [list(t.items()) for t in chain.transversals],
+        [list(t.items()) for t in chain.inverses],
+        chain.strong,
+        chain.level_of,
+    )
+
+
+def _random_generators(rng, n):
+    """Two or three random permutations of 1-3 disjoint blocks of points
+    scattered in range(n), sometimes with one moving across blocks."""
+    points = rng.sample(range(n), rng.randint(5, min(n, 9)))
+    cuts = sorted(rng.sample(range(1, len(points)), rng.randint(0, 2)))
+    blocks = [points[a:b] for a, b in zip([0] + cuts, cuts + [len(points)])]
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        images = list(range(n))
+        for block in blocks:
+            for x, y in zip(block, rng.sample(block, len(block))):
+                images[x] = y
+        gens.append(tuple(images))
+    if len(blocks) > 1 and rng.random() < 0.3:
+        images = list(range(n))
+        images[blocks[0][0]], images[blocks[1][0]] = blocks[1][0], blocks[0][0]
+        gens.append(tuple(images))
+    return gens
+
+
+@pytest.mark.parametrize("n", [8, 40, 255, 256, 300])
+def test_order_bound_gives_the_same_chain(n):
+    # A chain stopped at a proven order must equal the unbounded build:
+    # from the generators, rebased from strong generators onto a prefix,
+    # and with a bound the chain never reaches (a proper subgroup).
+    from edgeprim.groups import _Chain
+    from edgeprim.perms import _kernel
+
+    rng = random.Random(2024 + n)
+    element = _kernel(n).element
+    proper = 0
+    for _ in range(12):
+        gens = [element(g) for g in _random_generators(rng, n)]
+        full = _Chain(n, (), gens)
+        order = full.size
+        assert _chain_state(_Chain(n, (), gens, order)) == _chain_state(full)
+
+        moved = [x for x in range(n) if any(g[x] != x for g in gens)]
+        prefix = rng.sample(moved, rng.randint(1, 3))
+        strong = full.strong_elements(0)
+        rebased = _Chain(n, prefix, strong, order)
+        assert _chain_state(rebased) == _chain_state(_Chain(n, prefix, strong))
+        assert rebased.size == order
+
+        part = _Chain(n, (), gens[:1])
+        proper += part.size < order
+        assert _chain_state(_Chain(n, (), gens[:1], order)) == _chain_state(part)
+    assert proper
+
+
+def test_bounded_pointwise_stabilizer_sifts_less(monkeypatch):
+    from edgeprim.families import pgl2
+    from edgeprim.groups import _Chain
+    from edgeprim.perms import _kernel
+
+    g = pgl2(7)
+    strong = [_kernel(g.degree).element(s.images) for s in g.strong_generators]
+    sifted = []
+    plain_sift = _Chain.sift
+
+    def counting_sift(self, p, start=0):
+        sifted.append(1)
+        return plain_sift(self, p, start)
+
+    monkeypatch.setattr(_Chain, "sift", counting_sift)
+    prefix = (3, 5)
+    unbounded = _Chain(g.degree, prefix, strong)
+    rebuild_sifts = len(sifted)
+    sifted.clear()
+    stab = g.pointwise_stabilizer(prefix)
+    assert 0 < len(sifted) < rebuild_sifts
+    assert stab.order == g.order // (8 * 7) == unbounded.size // (8 * 7)
+    assert stab.base == tuple(unbounded.points[2:])

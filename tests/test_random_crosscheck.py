@@ -9,6 +9,7 @@ from edgeprim import (
     from_cycles,
     maximality_via_primitivity,
     normalizer,
+    trivial_group,
 )
 from brute import (
     all_subgroups,
@@ -26,15 +27,30 @@ def random_subgroup(rng, ambient_elements, max_gens=2):
 
 
 def test_normalizer_and_centralizer_match_brute_on_random_subgroups():
+    # Both grow one chain bounded by the ambient order and stop once it is
+    # full; each result must equal build_group of its own generators.
+    from edgeprim import agl1, pgl2
+
+    wreath = build_group([
+        from_cycles(6, [(0, 1)]),
+        from_cycles(6, [(0, 2, 4), (1, 3, 5)]),
+        from_cycles(6, [(0, 2), (1, 3)]),
+    ])
     rng = random.Random(31337)
-    s5 = build_group([from_cycles(5, [(0, 1)]), from_cycles(5, [(0, 1, 2, 3, 4)])])
-    ambient = sorted(brute_closure([p.images for p in s5.generators]))
-    for _ in range(20):
-        gens = random_subgroup(rng, ambient)
-        sub = build_group(gens)
-        sub_elements = brute_closure([p.images for p in sub.generators])
-        assert normalizer(s5, sub).order == len(brute_normalizer(set(ambient), sub_elements))
-        assert centralizer(s5, sub).order == len(brute_centralizer(set(ambient), sub_elements))
+    for group, samples in (
+        (_symmetric(5), 20), (agl1(7), 8), (pgl2(5), 8), (wreath, 8), (_symmetric(4), 8)
+    ):
+        ambient = sorted(brute_closure([p.images for p in group.generators]))
+        subs = [build_group(random_subgroup(rng, ambient)) for _ in range(samples)]
+        subs += [group, group.point_stabilizer(0), trivial_group(group.degree)]
+        for sub in subs:
+            sub_elements = brute_closure([p.images for p in sub.generators])
+            for op, brute in ((normalizer, brute_normalizer), (centralizer, brute_centralizer)):
+                got = op(group, sub)
+                assert got.order == len(brute(set(ambient), sub_elements))
+                rebuilt = build_group(got.generators)
+                assert rebuilt.base == got.base
+                assert rebuilt.strong_generators == got.strong_generators
 
 
 def _symmetric(n):
