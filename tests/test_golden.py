@@ -30,6 +30,11 @@ ANALYZE_CASES = {
     "complete-14-psl2-13": ("complete:14", lambda: psl2(13), 0),
 }
 
+# --cutoff -> exit code for Hoffman-Singleton with all checks: below the
+# core's order 126000 `almost-simple` and `main-theorem` are scale-limit,
+# and at 200000 the centralizer of the core in Aut(HS) (order 252000) is.
+HS_CUTOFFS = {1000: 3, 200000: 3, 10**6: 0}
+
 
 @pytest.mark.parametrize("name", sorted(ANALYZE_CASES))
 def test_analyze_all_checks_matches_golden(name, tmp_path, capsys):
@@ -44,6 +49,18 @@ def test_analyze_all_checks_matches_golden(name, tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == exit_code
     assert capsys.readouterr().out == (GOLDEN / f"analyze-{name}.json").read_text("ascii")
+
+
+@pytest.mark.parametrize("cutoff", sorted(HS_CUTOFFS))
+def test_analyze_hoffman_singleton_matches_golden(cutoff, tmp_path, capsys):
+    graph_path = tmp_path / "hoffman-singleton.graph"
+    argv = ["construct", "--family", "hoffman-singleton", "--out", str(graph_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    argv = ["analyze", "--graph", str(graph_path), "--check", ALL_CHECKS, "--json"]
+    assert main(argv + ["--cutoff", str(cutoff)]) == HS_CUTOFFS[cutoff]
+    golden = GOLDEN / f"analyze-hoffman-singleton-cutoff-{cutoff}.json"
+    assert capsys.readouterr().out == golden.read_text("ascii")
 
 
 def test_lemmas_all_matches_golden(tmp_path, capsys):
