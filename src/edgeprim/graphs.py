@@ -11,6 +11,7 @@ in a stabilizer-chain construction, so the returned group is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 from .perms import Permutation, _identity_t
@@ -301,8 +302,9 @@ def arc_kernel(group: Group, graph: Graph, u: int, v: int) -> Group:
 def _refine(cells: tuple[tuple[int, ...], ...], adjacency) -> tuple[tuple[int, ...], ...]:
     """Equitable refinement of an ordered partition.
 
-    Each pass recolors vertices by (cell index, multiset of neighbor cell
-    indices) and splits cells in place, subcells ordered by signature.  The
+    Each pass groups the vertices of every cell by the sorted tuple of
+    their neighbours' cell indices and splits cells in place, subcells
+    ordered by that tuple's run-length form ((index, count), ...).  The
     ordering depends only on the colored-graph isomorphism class, so two
     states related by an automorphism refine in lockstep.
     """
@@ -312,29 +314,30 @@ def _refine(cells: tuple[tuple[int, ...], ...], adjacency) -> tuple[tuple[int, .
         for idx, cell in enumerate(cells):
             for v in cell:
                 color[v] = idx
+        color_of = color.__getitem__
         new_cells: list[tuple[int, ...]] = []
         changed = False
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
+            groups: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                counts: dict[int, int] = {}
-                for w in adjacency[v]:
-                    c = color[w]
-                    counts[c] = counts.get(c, 0) + 1
-                sig = tuple(sorted(counts.items()))
-                groups.setdefault(sig, []).append(v)
+                groups.setdefault(tuple(sorted(map(color_of, adjacency[v]))), []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
                 changed = True
-                for sig in sorted(groups):
-                    new_cells.append(tuple(sorted(groups[sig])))
+                for key in sorted(groups, key=_run_lengths):
+                    new_cells.append(tuple(sorted(groups[key])))
         if not changed:
             return tuple(new_cells)
         cells = tuple(new_cells)
+
+
+def _run_lengths(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(value, count) for each run of equal values in a sorted tuple."""
+    return tuple((value, len(list(run))) for value, run in groupby(key))
 
 
 def _individualize(

@@ -1,11 +1,12 @@
 """Element-enumeration operations on small groups.
 
 Most operations here walk the full element list of a group.  Two do not.
-Simplicity walks only a point stabilizer G_a and its cosets towards one
-point of each G_a-orbit, and takes at most one normal closure per
-conjugacy class (see :func:`is_simple`).  The centralizer of a transitive
-subgroup is built from a point stabilizer's fixed points with no
-enumeration at all.  Every entry point is still gated by an explicit
+Simplicity goes down the group's own stabilizer chain: at each level it
+walks only the cosets of two-point stabilizers that can hold a generator
+of a semiregular normal subgroup, picked out by their fixed points, and it
+computes no conjugacy classes (see :func:`is_simple`).  The centralizer of
+a transitive subgroup is built from a point stabilizer's fixed points with
+no enumeration at all.  Every entry point is still gated by an explicit
 cutoff (default 10^6): exceeding it raises :class:`ScaleLimitError`
 rather than returning a wrong or partial answer.
 
@@ -219,31 +220,43 @@ def conjugacy_classes(
 
 
 def is_simple(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
-    """Exact simplicity test from a point stabilizer, never walking the group.
+    """Exact simplicity test down the group's own stabilizer chain.
 
-    Let a be the first base point with a nontrivial orbit D, and H = G_a,
-    read off the group's own stabilizer chain.  A nontrivial normal
-    subgroup N either meets H or is semiregular on D (Seress, *Permutation
-    Group Algorithms*, 2003, ch. 6), and the group is simple iff every
-    element found below has the whole group as its normal closure:
+    No conjugacy classes are computed and the group is never walked.  For
+    each level i of the chain, let b be its base point, D the orbit of b
+    under G_(i) (the stabilizer of the earlier base points) and H = G_(i+1)
+    = (G_(i))_b.  Every candidate below must have the whole group as its
+    normal closure; the group is simple iff all of them do.
 
-    1. N meets H: N then contains a representative of some nontrivial
-       conjugacy class of H.  This also catches the kernel of the action
-       on D, which lies in H.
-    2. N is semiregular: for each H-orbit on D - {a}, with representative
-       b, N has exactly one element c sending a to b.  Conjugating by
-       G_ab fixes it, so c commutes with H_b, moves every point of D and
-       lies in the coset H t_b, where t_b is the transversal element
-       sending a to b.
+    Completeness (Seress, *Permutation Group Algorithms*, 2003, ch. 6).
+    Take a proper nontrivial normal subgroup N and the deepest level i with
+    M = N meet G_(i) nontrivial; it exists, since G_(0) = G and the
+    stabilizer of the whole base is trivial.  M is normal in G_(i) and
+    M meet H = 1, so M is semiregular on D: the stabilizer in M of a point
+    of D is conjugate in G_(i) to M_b = 1.  H fixes b and normalizes M, so
+    the M-orbit of b is H-invariant; it holds the representative beta of
+    some H-orbit on D - {b}, and M has exactly one element c sending b to
+    beta.  Conjugating c by H_beta gives an element of M with the same
+    property, so c commutes with H_beta.  Hence c lies in the coset
+    H t_beta (t_beta the transversal element sending b to beta), commutes
+    with H_beta, fixes no point of D, and its normal closure lies in N.
+    Conversely, in a simple group every nontrivial element has the whole
+    group as its normal closure.
+
+    Pruning.  An element commuting with H_beta permutes Fix(H_beta), which
+    holds beta.  Writing an element of H t_beta as c = h u_gamma t_beta,
+    with h in H_beta and u_gamma the element of the local chain's
+    transversal sending beta to gamma, gives beta^c = gamma^(t_beta).  So
+    only the points gamma of beta's H-orbit whose image under t_beta is a
+    point of Fix(H_beta) other than beta are walked, each over the
+    elements h of H_beta.
 
     Normal closure is a class invariant, so once c passes, each of its
-    conjugates that step 2 could meet is marked and skipped: for a point x
-    of D, with y the image of x^c under t_x^-1 and u_y in H sending the
-    representative of y's H-orbit to y, the conjugate of c by t_x^-1 u_y^-1
-    lies in that representative's coset, and it depends only on the cycle
-    of c through x.  So step 2 takes at most one normal closure per
-    conjugacy class of the group, and walks at most |H| times the rank of
-    G on D elements.
+    conjugates that the same level could meet is marked and skipped: for a
+    point x of D, with y the image of x^c under t_x^-1 and u_y in H sending
+    the representative of y's H-orbit to y, the conjugate of c by
+    t_x^-1 u_y^-1 lies in that representative's coset, and it depends only
+    on the cycle of c through x.
     """
     order = group.order
     if order == 1:
@@ -253,56 +266,73 @@ def is_simple(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
     if is_abelian(group):
         return False
     _check_cutoff(group, cutoff, "simplicity test")
-    level = next(i for i, trans in enumerate(group.transversals) if len(trans) > 1)
-    alpha = group.base[level]
-    stab = group._tail(level + 1)
-    if not all(
-        normal_closure(group, [rep]).order == order
-        for rep, _size in conjugacy_classes(stab, cutoff)
-        if not rep.is_identity()
-    ):
-        return False
+    return all(
+        _level_closures_are_whole(group, level)
+        for level, trans in enumerate(group.transversals)
+        if len(trans) > 1
+    )
+
+
+def _level_closures_are_whole(group: Group, level: int) -> bool:
+    """Whether every candidate of :func:`is_simple` at this chain level
+    has the whole group as its normal closure."""
+    order = group.order
     k = _kernel(group.degree)
     mul, table = k.mul, k.table
+    b = group.base[level]
     # to[x] is t_x as a table, back[x] its inverse; home[y] is u_y and the
-    # inverse table of u_y, for every y in D - {a}.
+    # inverse table of u_y, for every y in D - {b}.
     to = {x: table(k.element(t.images)) for x, t in group.transversals[level].items()}
     back = group._inverse_tables[level]
+    stab = group._tail(level + 1)
     stab_strong = [k.element(g.images) for g in stab.strong_generators]
     home = {}
     cosets = []
+    trivial = trivial_group(group.degree)
     for orbit in stab.orbits():
         beta = orbit[0]
-        if beta == alpha or beta not in to:
+        if beta == b or beta not in to:
             continue
         local = _Chain(group.degree, (beta,), stab_strong, stab.order)
         home.update(
             (y, (u, local.inverses[0][y])) for y, u in local.transversals[0].items()
         )
-        cosets.append((to[beta], list(map(table, local.strong_elements(1)))))
+        commuting = local.strong_elements(1)
+        t = to[beta]
+        # u_gamma t_beta for each gamma whose image under t_beta is a
+        # point of Fix(H_beta) other than beta.
+        starts = [
+            table(mul(u, t))
+            for gamma, u in local.transversals[0].items()
+            if t[gamma] != beta and all(h[t[gamma]] == t[gamma] for h in commuting)
+        ]
+        if starts:
+            stab_beta = local.suffix_group(1) if commuting else trivial
+            cosets.append((stab_beta, starts, list(map(table, commuting))))
     passed: set = set()
-    for t, commuting in cosets:
-        for h in _iter_elements_bytes(stab):
-            c = mul(h, t)
-            if c in passed:
-                continue
-            c_table = table(c)
-            if any(mul(c_table, g) != mul(g, c_table) for g in commuting) or any(
-                c[x] == x for x in to
-            ):
-                continue
-            if normal_closure(group, [Permutation._trusted(c)]).order != order:
-                return False
-            on_cycle: set = set()
-            for x in to:
-                if x in on_cycle:
+    for stab_beta, starts, commuting in cosets:
+        for start in starts:
+            for h in _iter_elements_bytes(stab_beta):
+                c = mul(h, start)
+                if c in passed:
                     continue
-                y = x
-                while y not in on_cycle:
-                    on_cycle.add(y)
-                    y = c[y]
-                u, u_back = home[back[x][c[x]]]
-                passed.add(mul(mul(mul(mul(u, to[x]), c_table), back[x]), u_back))
+                c_table = table(c)
+                if any(mul(c_table, g) != mul(g, c_table) for g in commuting) or any(
+                    c[x] == x for x in to
+                ):
+                    continue
+                if normal_closure(group, [Permutation._trusted(c)]).order != order:
+                    return False
+                on_cycle: set = set()
+                for x in to:
+                    if x in on_cycle:
+                        continue
+                    y = x
+                    while y not in on_cycle:
+                        on_cycle.add(y)
+                        y = c[y]
+                    u, u_back = home[back[x][c[x]]]
+                    passed.add(mul(mul(mul(mul(u, to[x]), c_table), back[x]), u_back))
     return True
 
 

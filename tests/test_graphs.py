@@ -229,3 +229,84 @@ def test_girth_matches_edge_removal_oracle():
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.35]
         g = build_graph(n, edges)
         assert girth(g) == brute_girth(n, edges)
+
+
+def _recolouring_refine(cells, adjacency):
+    """Reference: the refinement that recolours every vertex by a dict of
+    neighbour-cell counts, subcells ordered by the sorted count items."""
+    n = sum(len(c) for c in cells)
+    while True:
+        color = [0] * n
+        for idx, cell in enumerate(cells):
+            for v in cell:
+                color[v] = idx
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                counts = {}
+                for w in adjacency[v]:
+                    counts[color[w]] = counts.get(color[w], 0) + 1
+                groups.setdefault(tuple(sorted(counts.items())), []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for sig in sorted(groups):
+                    new_cells.append(tuple(sorted(groups[sig])))
+        if not changed:
+            return tuple(new_cells)
+        cells = tuple(new_cells)
+
+
+def _refine_fixtures(hs_graph):
+    rng = random.Random(2718)
+    graphs = [petersen(), heawood(), complete_graph(6), cycle_graph(9), hs_graph]
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    graphs.append(build_graph(12, hexagon + [(6 + a, 6 + b) for a, b in hexagon]))
+    for _ in range(12):
+        n = rng.randint(6, 30)
+        p = rng.choice((0.15, 0.3, 0.5))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        graphs.append(build_graph(n, edges))
+    return graphs, rng
+
+
+def test_refine_matches_recolouring_reference(hs_graph):
+    from edgeprim.graphs import _refine
+
+    graphs, rng = _refine_fixtures(hs_graph)
+    states = 0
+    for g, _descent in itertools.product(graphs, range(6)):
+        cells = (tuple(range(g.n)),)
+        # Individualize random vertices of random non-singleton cells.
+        while True:
+            refined = _refine(cells, g.adjacency)
+            assert refined == _recolouring_refine(cells, g.adjacency)
+            states += 1
+            open_cells = [i for i, c in enumerate(refined) if len(c) > 1]
+            if not open_cells:
+                break
+            pos = rng.choice(open_cells)
+            v = rng.choice(refined[pos])
+            rest = tuple(x for x in refined[pos] if x != v)
+            cells = refined[:pos] + ((v,), rest) + refined[pos + 1 :]
+    assert states > 200
+
+
+def test_automorphism_group_is_the_same_with_the_reference_refine(hs_graph, monkeypatch):
+    from edgeprim import graphs as graphs_module
+
+    fixtures, _rng = _refine_fixtures(hs_graph)
+    found = [automorphism_group(g) for g in fixtures]
+    monkeypatch.setattr(graphs_module, "_refine", _recolouring_refine)
+    for g, group in zip(fixtures, found):
+        reference = automorphism_group(g)
+        assert reference.base == group.base
+        assert [h.images for h in reference.generators] == [
+            h.images for h in group.generators
+        ]

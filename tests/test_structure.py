@@ -26,7 +26,7 @@ from edgeprim import (
     sylow_subgroup,
 )
 from edgeprim.families import agammal1, agl1, pgl2, psl2
-from edgeprim.groups import is_abelian, normal_closure
+from edgeprim.groups import derived_subgroup, is_abelian, normal_closure
 from edgeprim.structure import _is_prime
 from brute import brute_closure, brute_normalizer, compose_t, inverse_t
 
@@ -277,10 +277,22 @@ def _simplicity_cases(hs_core):
     return cases
 
 
-def test_is_simple_agrees_with_class_closures(hs_core):
+def test_is_simple_agrees_with_class_closures(hs_core, monkeypatch):
+    from edgeprim import structure
+
+    # is_simple computes no conjugacy classes; the reference here does,
+    # through its own import of conjugacy_classes.
+    calls = []
+
+    def counting(group, cutoff=None):
+        calls.append(group.order)
+        return conjugacy_classes(group)
+
+    monkeypatch.setattr(structure, "conjugacy_classes", counting)
     for name, (group, expected) in _simplicity_cases(hs_core).items():
         assert is_simple(group) == expected, name
         assert _class_closure_is_simple(group) == expected, name
+    assert calls == []
 
 
 def test_is_simple_agrees_with_class_closures_on_random_subgroups():
@@ -313,6 +325,33 @@ def test_is_simple_agrees_with_class_closures_on_random_subgroups():
     assert checked[True] and checked[False]
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: pgl2(11), lambda: _on_points_and_pairs(s5()), _m11],
+    ids=["PGL(2,11)", "S5 on 5+10", "M11"],
+)
+def test_is_simple_agrees_with_class_closures_on_random_almost_simple_subgroups(make):
+    # Seeded subgroups generated by one or two random elements of an almost
+    # simple ambient, and their derived subgroups: cyclic groups, soluble
+    # and almost simple subgroups, and simple ones of composite order,
+    # which take the walk down the whole chain.
+    ambient = make()
+    listed = elements(ambient)
+    rng = random.Random(7919)
+    checked = Counter()
+    for _ in range(12):
+        sub = build_group(rng.sample(listed, rng.randint(1, 2)))
+        for group in (sub, derived_subgroup(sub)):
+            if group.order == 1:
+                continue
+            verdict = is_simple(group)
+            assert verdict == _class_closure_is_simple(group), [
+                g.images for g in group.generators
+            ]
+            checked[verdict, _is_prime(group.order)] += 1
+    assert checked[True, False] and checked[False, False]
+
+
 def test_is_simple_walks_only_a_point_stabilizer(hs_core, monkeypatch):
     from edgeprim import structure
 
@@ -326,17 +365,22 @@ def test_is_simple_walks_only_a_point_stabilizer(hs_core, monkeypatch):
 
     monkeypatch.setattr(structure, "_iter_elements_bytes", counting)
     assert is_simple(hs_core)
-    # The point stabilizer is A7 (order 2520) and the rank is 3: its
-    # classes, then one coset for each of the two nontrivial suborbits.
+    # Only two-point stabilizers H_b inside some G_(i) are walked, each
+    # over the few cosets of H_b that can permute Fix(H_b).  At level 0
+    # the point stabilizer is A7 (order 2520) with suborbits 7 and 42, so
+    # H_b has order 360 or 60.
     assert hs_core.order not in walked
-    assert sum(walked.values()) <= 3 * 2520
+    assert max(walked) <= 2520 // 7
+    assert sum(walked.values()) < 1000
     walked.clear()
-    # An orbit with a nontrivial kernel is caught by the classes of the
-    # point stabilizer A4 x A5 (order 720), the only group walked.
+    # A5 x A5 on 5+5: the normal factor A5 x 1 is caught at the level
+    # where its intersection with the chain becomes semiregular; nothing of
+    # order beyond a two-point stabilizer is walked.
     product = _direct_product_on_copies(a5(), a5())
     assert not is_simple(product)
     assert product.order not in walked
     assert sum(walked.values()) <= product.order // 5
+    assert max(walked) <= product.order // 20
 
 
 def _on_cosets_of_an_element(group, element_order):
@@ -359,9 +403,9 @@ def _on_cosets_of_an_element(group, element_order):
 def test_is_simple_takes_one_closure_per_class(make, monkeypatch):
     # With a small point stabilizer almost every fixed-point-free element of
     # a coset is a semiregular candidate.  Marking the conjugates of each
-    # candidate that passes keeps step (2) to one normal closure per class
-    # of the group, as a class walk over the whole group would take; step
-    # (1) takes one per class of the point stabilizer.
+    # candidate that passes keeps each level i of the chain to one normal
+    # closure per nontrivial class of G_(i), as a class walk over G_(i)
+    # would take; at level 0 that is one per class of the group.
     from edgeprim import structure
 
     group = make()
@@ -376,6 +420,12 @@ def test_is_simple_takes_one_closure_per_class(make, monkeypatch):
     stab = group.point_stabilizer(group.base[0])
     bound = len(conjugacy_classes(stab)) - 1 + len(conjugacy_classes(group)) - 1
     assert len(closures) <= bound
+    per_level = sum(
+        len(conjugacy_classes(group._tail(i))) - 1
+        for i, trans in enumerate(group.transversals)
+        if len(trans) > 1
+    )
+    assert len(closures) <= per_level
 
 
 def test_conjugacy_class_sizes_sum_to_order():
