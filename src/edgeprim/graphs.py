@@ -10,6 +10,7 @@ in a stabilizer-chain construction, so the returned group is exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
@@ -33,6 +34,11 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @functools.cached_property
+    def edge_set(self) -> frozenset[tuple[int, int]]:
+        """The edges (u, v) with u < v, as a set; built once per graph."""
+        return frozenset(self.edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -253,9 +259,9 @@ def first_s_arc(graph: Graph, s: int) -> SArc | None:
 def is_automorphism(graph: Graph, p: Permutation) -> bool:
     if p.degree != graph.n:
         return False
-    edge_set = set(graph.edges)
+    edge_set, images = graph.edge_set, p.images
     for u, v in graph.edges:
-        a, b = p(u), p(v)
+        a, b = images[u], images[v]
         if ((a, b) if a < b else (b, a)) not in edge_set:
             return False
     return True
@@ -289,7 +295,7 @@ def arc_kernel(group: Group, graph: Graph, u: int, v: int) -> Group:
     """Elements fixing both neighborhoods of an edge pointwise."""
     check_preserves_edges(graph, group)
     pair = (u, v) if u < v else (v, u)
-    if pair not in set(graph.edges):
+    if pair not in graph.edge_set:
         raise ValueError(f"{{{u}, {v}}} is not an edge")
     points = sorted(set(graph.adjacency[u]) | set(graph.adjacency[v]))
     return group.pointwise_stabilizer(points)
@@ -378,7 +384,7 @@ def automorphism_group(graph: Graph) -> Group:
             f"graph has {n}"
         )
     adjacency = graph.adjacency
-    edge_set = set(graph.edges)
+    edge_set = graph.edge_set
 
     root = _refine((tuple(range(n)),), adjacency)
 

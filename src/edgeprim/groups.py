@@ -31,6 +31,21 @@ transversals, strong generators and generator levels as the full build.
 Only orders already proved may be passed: the order of the group being
 rebased, or the order of an ambient group as an upper bound for a subgroup
 or an image, where reaching it proves the result is the whole group.
+
+Stabilizers of base images.  For g in G, the pointwise stabilizer of
+g(base[:j]) is the conjugate g^-1 G_(base[:j]) g (read left to right:
+g^-1, then a stabilizer element, then g).  Conjugating the chain's levels
+from j on by g gives a chain of it: base g(base[j:]), and every strong
+generator, transversal element and inverse table h replaced by g^-1 h g,
+with each transversal keyed on g's images (Seress 2003, ch. 5).  A walk
+down the inverse tables finds the longest such j for given points, with a
+g.  It is exact: if g_i sends base[:i] to points[:i], the elements that do
+so are the products h g_i with h in G_(base[:i]), whose images of base[i]
+are g_i of level i's orbit; so points[i] can be reached iff
+g_i^-1(points[i]) lies in that orbit, and the level's transversal holds an
+element for every point of it.  A base image therefore needs no
+Schreier-Sims run, and any other points are rebased from the conjugate of
+the longest stabilizer walked, bounded by its order.
 """
 
 from __future__ import annotations
@@ -286,27 +301,55 @@ class Group:
         return self.pointwise_stabilizer((point,))
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "Group":
+        """The stabilizer of every given point.
+
+        When the points are g(base[:j]) this is g^-1 G_(base[:j]) g, read
+        off this chain's levels from j on (shared outright when g is the
+        identity).  Otherwise one known-order chain rebases the conjugate of
+        the longest such stabilizer onto the remaining points.
+        """
         for p in points:
             self._check_point(p)
         prefix = tuple(dict.fromkeys(points))
-        strong = [_kernel(self.degree).element(g.images) for g in self.strong_generators]
-        chain = _Chain(self.degree, prefix, strong, self.order)
-        return chain.suffix_group(len(prefix))
+        k = _kernel(self.degree)
+        j, g_inv = _walk(k, self._inverse_tables, prefix)
+        fixed = self.base[:j]
+        fixing = [s for s in self.strong_generators if all(s.images[b] == b for b in fixed)]
+        if j == len(prefix) and g_inv == k.identity:
+            strong = tuple(fixing) or (Permutation._trusted(k.identity),)
+            return Group(
+                degree=self.degree,
+                generators=strong,
+                base=self.base[j:],
+                strong_generators=strong,
+                transversals=self.transversals[j:],
+                _inverse_tables=self._inverse_tables[j:],
+            )
+        g = k.table(k.inverse(g_inv))
 
-    def _tail(self, i: int) -> "Group":
-        """The stabilizer of base[:i], read off this chain's levels from i on
-        without running Schreier-Sims again."""
-        fixed = self.base[:i]
-        strong = tuple(
-            g for g in self.strong_generators if all(g.images[b] == b for b in fixed)
-        ) or (Permutation._trusted(_identity_t(self.degree)),)
+        def conj(h_table):
+            return k.mul(k.mul(g_inv, h_table), g)
+
+        strong = [conj(k.table(k.element(s.images))) for s in fixing]
+        if j < len(prefix):
+            tail_order = math.prod(len(t) for t in self.transversals[j:])
+            chain = _Chain(self.degree, prefix[j:], strong, tail_order)
+            return chain.suffix_group(len(prefix) - j)
+        wrap = Permutation._trusted
+        strong = tuple(map(wrap, strong)) or (wrap(k.identity),)
+        transversals, inverses = [], []
+        for trans, inv in zip(self.transversals[j:], self._inverse_tables[j:]):
+            transversals.append(
+                {g[b]: wrap(conj(k.table(k.element(t.images)))) for b, t in trans.items()}
+            )
+            inverses.append({g[b]: k.table(conj(t_inv)) for b, t_inv in inv.items()})
         return Group(
             degree=self.degree,
             generators=strong,
-            base=self.base[i:],
+            base=tuple(g[b] for b in self.base[j:]),
             strong_generators=strong,
-            transversals=self.transversals[i:],
-            _inverse_tables=self._inverse_tables[i:],
+            transversals=tuple(transversals),
+            _inverse_tables=tuple(inverses),
         )
 
     def setwise_stabilizer(self, points: Sequence[int]) -> "Group":
@@ -382,37 +425,46 @@ def element_mapping(
 ) -> Permutation | None:
     """Some g in the group with src[i]^g = dst[i] for all i, or None.
 
-    Recursive transversal search: pick a representative sending src[0] to
-    dst[0], then solve the translated problem in the stabilizer of src[0].
+    When src is an image of the base, g_src^-1 g_dst from two walks down
+    the group's chain; otherwise dst is walked down one chain rebased onto
+    src.
     """
     if len(src) != len(dst):
         raise ValueError("src and dst must have equal length")
-    if not src:
-        return Permutation(_identity_t(group.degree))
-    k = _kernel(group.degree)
-    strong = [k.element(g.images) for g in group.strong_generators]
-    found = _map_points(group.degree, strong, group.order, tuple(src), tuple(dst))
-    return None if found is None else Permutation._trusted(found)
-
-
-def _map_points(degree: int, strong: list, order: int, src: tuple, dst: tuple):
-    """:func:`element_mapping` on the group of the given order generated by
-    the elements ``strong``; returns an element or None."""
-    chain = _Chain(degree, (src[0],), strong, order)
-    rep = chain.transversals[0].get(dst[0])
-    if rep is None or len(src) == 1:
-        return rep
-    rep_inv = chain.inverses[0][dst[0]]
-    inner = _map_points(
-        degree,
-        chain.strong_elements(1),
-        order // len(chain.transversals[0]),
-        src[1:],
-        tuple(rep_inv[d] for d in dst[1:]),
-    )
-    if inner is None:
+    pairs = dict(zip(src, dst))
+    if [pairs[s] for s in src] != list(dst):
         return None
-    return chain.kernel.mul(inner, chain.kernel.table(rep))
+    src, dst = tuple(pairs), tuple(pairs.values())
+    k = _kernel(group.degree)
+    inverses = group._inverse_tables
+    j, src_inv = _walk(k, inverses, src)
+    if j < len(src):
+        strong = [k.element(g.images) for g in group.strong_generators]
+        chain = _Chain(group.degree, src, strong, group.order)
+        inverses, src_inv = chain.inverses, k.identity
+    j, dst_inv = _walk(k, inverses, dst)
+    if j < len(dst):
+        return None
+    return Permutation._trusted(k.mul(src_inv, k.table(k.inverse(dst_inv))))
+
+
+def _walk(k, inverses: Sequence[dict], points: Sequence[int]):
+    """(j, g^-1) for the longest j with some element g of a chain sending
+    its base[i] to points[i] for every i < j, given the chain's inverse
+    tables per level; g^-1 is a kernel element.
+
+    Exact: the elements sending base[:i] to points[:i] form the coset
+    g_i G_(base[:i]), whose images of base[i] are g_i of level i's orbit.
+    """
+    g_inv = k.identity
+    j = 0
+    for inv, p in zip(inverses, points):
+        u_inv = inv.get(g_inv[p])
+        if u_inv is None:
+            break
+        g_inv = k.mul(g_inv, u_inv)
+        j += 1
+    return j, g_inv
 
 
 def is_subgroup(group: Group, sub: Group) -> bool:

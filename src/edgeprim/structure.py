@@ -284,7 +284,7 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
     # inverse table of u_y, for every y in D - {b}.
     to = {x: table(k.element(t.images)) for x, t in group.transversals[level].items()}
     back = group._inverse_tables[level]
-    stab = group._tail(level + 1)
+    stab = group.pointwise_stabilizer(group.base[: level + 1])
     stab_strong = [k.element(g.images) for g in stab.strong_generators]
     home = {}
     cosets = []

@@ -81,6 +81,24 @@ def brute_automorphisms(n: int, edges: list[tuple[int, int]]) -> list[tuple[int,
     return out
 
 
+def assert_valid_chain(group, points) -> None:
+    """Check a group's stabilizer chain field by field with plain tuples:
+    every transversal element sends its base point to its key and fixes the
+    earlier base points and the given points, its inverse table inverts it,
+    and every strong generator fixes the given points."""
+    n = group.degree
+    for i, (b, trans, inverses) in enumerate(
+        zip(group.base, group.transversals, group._inverse_tables)
+    ):
+        assert b in trans and set(trans) == set(inverses)
+        for beta, t in trans.items():
+            assert t.images[b] == beta
+            assert all(t.images[x] == x for x in group.base[:i] + tuple(points))
+            assert [inverses[beta][t.images[x]] for x in range(n)] == list(range(n))
+    for s in group.strong_generators:
+        assert all(s.images[x] == x for x in points)
+
+
 def brute_setwise_stabilizer(elements: set[tuple[int, ...]], points: set[int]) -> set[tuple[int, ...]]:
     return {g for g in elements if {g[x] for x in points} == points}
 

@@ -16,7 +16,7 @@ from edgeprim import (
     reduce_generators,
     trivial_group,
 )
-from brute import brute_closure, brute_setwise_stabilizer
+from brute import assert_valid_chain, brute_closure, brute_setwise_stabilizer
 
 
 def s5():
@@ -292,13 +292,9 @@ def test_order_bound_gives_the_same_chain(n):
     assert proper
 
 
-def test_bounded_pointwise_stabilizer_sifts_less(monkeypatch):
-    from edgeprim.families import pgl2
+def _count_sifts(monkeypatch):
     from edgeprim.groups import _Chain
-    from edgeprim.perms import _kernel
 
-    g = pgl2(7)
-    strong = [_kernel(g.degree).element(s.images) for s in g.strong_generators]
     sifted = []
     plain_sift = _Chain.sift
 
@@ -307,7 +303,37 @@ def test_bounded_pointwise_stabilizer_sifts_less(monkeypatch):
         return plain_sift(self, p, start)
 
     monkeypatch.setattr(_Chain, "sift", counting_sift)
-    prefix = (3, 5)
+    return sifted
+
+
+def test_base_image_pointwise_stabilizer_sifts_nothing(monkeypatch):
+    # PGL(2,7) is sharply 3-transitive, so (3, 5) is an image of the first
+    # two base points and its stabilizer is a conjugate of the chain's tail.
+    from edgeprim.families import pgl2
+
+    g = pgl2(7)
+    sifted = _count_sifts(monkeypatch)
+    stab = g.pointwise_stabilizer((3, 5))
+    assert not sifted
+    assert stab.order == g.order // (8 * 7)
+    assert_valid_chain(stab, (3, 5))
+
+
+def test_bounded_pointwise_stabilizer_sifts_less(monkeypatch):
+    # PGL(2,7) acting on two copies of the projective line at once: 11 lies
+    # outside the first basic orbit, so (11, 13) is no base image and the
+    # stabilizer is rebuilt, bounded by the group's order.
+    from edgeprim.families import pgl2
+    from edgeprim.groups import _Chain
+    from edgeprim.perms import _kernel
+
+    line = pgl2(7)
+    g = build_group([Permutation(p.images + tuple(8 + x for x in p.images))
+                     for p in line.generators])
+    assert g.order == line.order and g.orbit(g.base[0]) == tuple(range(8))
+    strong = [_kernel(g.degree).element(s.images) for s in g.strong_generators]
+    sifted = _count_sifts(monkeypatch)
+    prefix = (11, 13)
     unbounded = _Chain(g.degree, prefix, strong)
     rebuild_sifts = len(sifted)
     sifted.clear()

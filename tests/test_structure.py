@@ -421,7 +421,7 @@ def test_is_simple_takes_one_closure_per_class(make, monkeypatch):
     bound = len(conjugacy_classes(stab)) - 1 + len(conjugacy_classes(group)) - 1
     assert len(closures) <= bound
     per_level = sum(
-        len(conjugacy_classes(group._tail(i))) - 1
+        len(conjugacy_classes(group.pointwise_stabilizer(group.base[:i]))) - 1
         for i, trans in enumerate(group.transversals)
         if len(trans) > 1
     )
