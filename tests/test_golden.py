@@ -6,13 +6,15 @@ content hashes recorded in the certificates are reproducible.  A change to
 any certificate byte, verdict or exit code fails here.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from edgeprim.cli import main
 from edgeprim.families import pgl2, psl2
-from edgeprim.fileio import write_group
+from edgeprim.fileio import read_group, write_group
+from edgeprim.groups import build_group
 
 GOLDEN = Path(__file__).parent / "golden"
 ALL_CHECKS = (
@@ -67,3 +69,30 @@ def test_lemmas_all_matches_golden(tmp_path, capsys):
     argv = ["lemmas", "--suite", "all", "--json", "--fixture-dir", str(tmp_path / "fixtures")]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / "lemmas-all.json").read_text("ascii")
+
+
+def test_lemma_rows_depend_on_the_group_not_its_generators(tmp_path, capsys):
+    """The `heawood` and `hs` fixture groups are written from the generators
+    the automorphism search finds.  Rewriting them from the chain's strong
+    generators (the same group) changes only the recorded input hashes."""
+    fixtures = tmp_path / "fixtures"
+    argv = ["lemmas", "--suite", "all", "--json", "--fixture-dir", str(fixtures)]
+
+    def rows_without_group_hash():
+        capsys.readouterr()
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        hashes = [row["certificate"]["inputs"].pop("group_sha256") for row in rows]
+        return rows, hashes
+
+    rows, hashes = rows_without_group_hash()
+    for name in ("heawood", "hs"):
+        path = fixtures / f"{name}.group"
+        before = path.read_text("ascii")
+        write_group(build_group(read_group(path).strong_generators), path)
+        assert path.read_text("ascii") != before
+    new_rows, new_hashes = rows_without_group_hash()
+    assert new_rows == rows
+    changed = [row["fixture"] for row, a, b in zip(rows, hashes, new_hashes) if a != b]
+    assert set(changed) == {"heawood", "hs"}
+    assert len(changed) == sum(row["fixture"] in ("heawood", "hs") for row in rows)

@@ -9,6 +9,7 @@ from edgeprim import (
     automorphism_group,
     build_graph,
     build_group,
+    complete_bipartite,
     complete_graph,
     count_s_arcs,
     cycle_graph,
@@ -310,3 +311,84 @@ def test_automorphism_group_is_the_same_with_the_reference_refine(hs_graph, monk
         assert [h.images for h in reference.generators] == [
             h.images for h in group.generators
         ]
+
+
+def _relabelled(g, rng):
+    pi = list(range(g.n))
+    rng.shuffle(pi)
+    return build_graph(g.n, [(pi[u], pi[v]) for u, v in g.edges])
+
+
+def _paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return build_graph(q, [(u, v) for u, v in itertools.combinations(range(q), 2) if (v - u) % q in squares])
+
+
+def _cycles(*lengths):
+    edges, start = [], 0
+    for m in lengths:
+        edges += [(start + i, start + (i + 1) % m) for i in range(m)]
+        start += m
+    return build_graph(start, edges)
+
+
+def test_automorphism_order_matches_networkx_vf2pp():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31337)
+    fixtures = []
+    # Dense G(n,p) graphs, then sparse ones whose pendant and isolated
+    # vertices give nontrivial groups.
+    for n_range, p_choices in (((9, 40), (0.2, 0.35, 0.5)), ((9, 16), (0.12, 0.15))):
+        for _ in range(6):
+            n = rng.randint(*n_range)
+            p = rng.choice(p_choices)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            fixtures.append(build_graph(n, edges))
+    for n in (10, 16, 24, 40):
+        cubic = nx.random_regular_graph(3, n, seed=rng.randrange(2**32))
+        fixtures.append(build_graph(n, cubic.edges()))
+    named = [petersen(), heawood(), complete_bipartite(3), complete_bipartite(4), _paley(13)]
+    fixtures += [_relabelled(g, rng) for g in named]
+    # A union of equal cycles, and 2-regular graphs whose cycles differ in
+    # length.  Equitable refinement cannot tell a 6-cycle from two
+    # triangles, so below the first level the target cells are not orbits
+    # and the search must try more than one candidate in its subtrees.
+    fixtures += [_relabelled(_cycles(*c), rng) for c in ((4, 4, 4), (6, 3, 3), (4, 4, 8))]
+    for g in fixtures:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        count = sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h))
+        assert automorphism_group(g).order == count, g
+
+
+def _pg2_incidence(p):
+    """Incidence graph of PG(2,p), p prime: points 0..m-1 and lines m..2m-1
+    are the normalized nonzero vectors of GF(p)^3 (first nonzero entry 1),
+    and point x lies on line y when x.y = 0 mod p."""
+    vectors = [
+        v
+        for v in itertools.product(range(p), repeat=3)
+        if any(v) and next(c for c in v if c) == 1
+    ]
+    m = len(vectors)
+    edges = [
+        (i, m + j)
+        for i, x in enumerate(vectors)
+        for j, y in enumerate(vectors)
+        if sum(a * b for a, b in zip(x, y)) % p == 0
+    ]
+    return build_graph(2 * m, edges)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_automorphism_group_of_projective_plane_incidence_graph(p):
+    # Aut = PGammaL(3,p) with a polarity swapping points and lines; for a
+    # prime p this is PGL(3,p).2, of order 2 p^3 (p^3 - 1) (p^2 - 1).
+    g = _pg2_incidence(p)
+    assert g.n == 2 * (p * p + p + 1) and valency(g) == p + 1
+    group = automorphism_group(g)
+    assert group.order == 2 * p**3 * (p**3 - 1) * (p**2 - 1)
+    assert all(is_automorphism(g, h) for h in group.generators)
+    if p == 2:
+        assert group.order == automorphism_group(heawood()).order == 336
