@@ -363,12 +363,9 @@ def _shape(cells: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 def _target_pos(cells: tuple[tuple[int, ...], ...]) -> int | None:
     """Index of the first largest non-singleton cell, None when discrete.
 
-    Individualizing in a large cell splits the partition hardest, so the
-    descent reaches a discrete partition in few levels and the search base
-    is short: on Hoffman-Singleton 4 points (orbits 50, 42, 30, 4) instead
-    of the 8 that a smallest cell gives (a neighbourhood, peeled one vertex
-    per level, down to a last level with trivial stabilizer).  Fewer
-    levels mean fewer subtrees to search for each transversal element.
+    A large cell splits the partition hardest, so the descent and the
+    search base are short: 4 points on Hoffman-Singleton (orbits 50, 42,
+    30, 4), where a smallest cell peels a neighbourhood over 8 levels.
     """
     best = None
     best_size = 1
