@@ -1,17 +1,16 @@
 """Group actions on derived domains and permutation-group property tests.
 
 An :class:`Action` packages the acting group, a labelled domain (each label
-an integer tuple: a sorted pair for an edge, an (s+1)-tuple for an s-arc, a
-1-tuple for a restricted point), the induced permutation group on label
-indices, and the kernel order.  Labels are ordered lexicographically so the
-induced image is deterministic.
+a 1-tuple: a point of an invariant set, or a coset index), the induced
+permutation group on label indices, and the kernel order.  Labels are
+sorted so the induced image is deterministic.  Block systems need only
+generator images, so a graph's edges get no chain (:func:`block_witness`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 from .perms import Permutation, _compose_t, _identity_t
 from .groups import Group, ScaleLimitError, build_group
@@ -44,78 +43,29 @@ class BlockSystem:
         return self.block_size == 1 or self.block_size == domain_size
 
 
-def _induced_action(
-    group: Group,
-    labels: Sequence[tuple[int, ...]],
-    apply_label: Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]],
-) -> Action:
-    labels = tuple(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        raise ValueError("duplicate labels in action domain")
-    image_gens = []
-    for g in group.generators:
-        images = [0] * len(labels)
-        for i, lab in enumerate(labels):
-            moved = apply_label(g.images, lab)
-            j = index.get(moved)
-            if j is None:
-                raise ValueError(
-                    f"label domain is not invariant: {lab} maps to {moved}"
-                )
-            images[i] = j
-        image_gens.append(Permutation(tuple(images)))
-    if not image_gens:
-        image_gens = [Permutation(_identity_t(len(labels)))]
-    order = group.order
+def _image_action(group: Group, labels: tuple, image_gens: list[Permutation]) -> Action:
+    """The action whose image the generators' images generate."""
     # The image's order divides the group's; reaching it means faithful.
-    image = build_group(image_gens, order=order)
-    image_order = image.order
-    if order % image_order != 0:
+    image = build_group(image_gens, order=group.order)
+    if group.order % image.order != 0:
         raise AssertionError("image order must divide group order")
-    return Action(
-        group=group,
-        domain_labels=labels,
-        image=image,
-        kernel_order=order // image_order,
-    )
-
-
-def _apply_sorted_pair(g: tuple[int, ...], lab: tuple[int, ...]) -> tuple[int, ...]:
-    a, b = g[lab[0]], g[lab[1]]
-    return (a, b) if a < b else (b, a)
-
-
-def _apply_tuple(g: tuple[int, ...], lab: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(g[x] for x in lab)
-
-
-def act_on_2sets(group: Group) -> Action:
-    """The induced action on all 2-subsets of the natural domain."""
-    if group.degree < 2:
-        raise ValueError("degree must be at least 2")
-    labels = [
-        (a, b) for a, b in itertools.combinations(range(group.degree), 2)
-    ]
-    return _induced_action(group, labels, _apply_sorted_pair)
-
-
-def act_on_pairs(group: Group, pairs: Sequence[tuple[int, int]]) -> Action:
-    """Action on an invariant set of 2-subsets (e.g. a graph's edge set)."""
-    labels = sorted(tuple(sorted(p)) for p in pairs)
-    return _induced_action(group, labels, _apply_sorted_pair)
-
-
-def act_on_tuples(group: Group, tuples: Sequence[tuple[int, ...]]) -> Action:
-    """Action on an invariant set of ordered tuples (e.g. s-arcs)."""
-    labels = sorted(tuple(t) for t in tuples)
-    return _induced_action(group, labels, _apply_tuple)
+    return Action(group, labels, image, group.order // image.order)
 
 
 def restrict_to_invariant_set(group: Group, subset: Sequence[int]) -> Action:
     """Restriction to an invariant point set, labelled by 1-tuples."""
-    labels = [(x,) for x in sorted(set(subset))]
-    return _induced_action(group, labels, _apply_tuple)
+    points = sorted(set(subset))
+    index = {x: i for i, x in enumerate(points)}
+    try:
+        gens = [Permutation(tuple(index[g.images[x]] for x in points)) for g in group.generators]
+    except KeyError as exc:
+        raise ValueError(f"point set is not invariant: {exc} is outside it") from None
+    return _image_action(group, tuple((x,) for x in points), gens)
+
+
+def natural_action(group: Group) -> Action:
+    """The action on the points themselves: the group is its own image."""
+    return Action(group, tuple((x,) for x in range(group.degree)), group, 1)
 
 
 def is_transitive(action: Action) -> bool:
@@ -185,16 +135,20 @@ def is_three_halves_transitive(action: Action) -> bool:
 
 
 def minimal_blocks(action: Action, alpha: int, beta: int) -> BlockSystem:
-    """The minimal block system whose block contains {alpha, beta}.
-
-    Union-find refinement: start by merging alpha and beta, then close the
-    relation under every generator until no merge applies.
-    """
+    """The minimal block system whose block contains {alpha, beta}."""
     if not is_transitive(action):
         raise ValueError("block systems are defined for transitive actions")
     n = action.domain_size
     if alpha == beta or not (0 <= alpha < n and 0 <= beta < n):
         raise ValueError("alpha and beta must be distinct domain points")
+    return _blocks([g.images for g in action.image.generators], alpha, beta)
+
+
+def _blocks(gens: Sequence[Sequence[int]], alpha: int, beta: int) -> BlockSystem:
+    """Minimal blocks of the transitive group that the image lists ``gens``
+    generate, by union-find: merge alpha and beta, then close the relation
+    under every generator until no merge applies."""
+    n = len(gens[0])
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -203,7 +157,6 @@ def minimal_blocks(action: Action, alpha: int, beta: int) -> BlockSystem:
             x = parent[x]
         return x
 
-    gens = [g.images for g in action.image.generators]
     queue = [(alpha, beta)]
     parent[find(beta)] = find(alpha)
     while queue:
@@ -228,29 +181,56 @@ def minimal_blocks(action: Action, alpha: int, beta: int) -> BlockSystem:
     return BlockSystem(blocks=blocks, block_size=sizes.pop())
 
 
-def is_primitive(action: Action) -> tuple[bool, BlockSystem | None]:
-    """Primitivity with an imprimitivity witness on failure.
+def block_witness(
+    gens: Sequence[Sequence[int]], stabilizer_gens: Sequence[Sequence[int]]
+) -> BlockSystem | None:
+    """A nontrivial block system of the transitive group generated by the
+    image lists ``gens``, or None when it is primitive; ``stabilizer_gens``
+    generate the stabilizer of 0.
 
-    Seeds (alpha, beta) range over one representative per orbit of the
-    stabilizer of alpha, which suffices: any nontrivial block through alpha
-    contains some beta in one of those orbits, and the minimal system for
-    that pair refines it.
+    The first nontrivial minimal system through {0, beta} is returned, for
+    beta the least point of each of the stabilizer's orbits in turn.  This
+    suffices: any nontrivial block through 0 meets one of those orbits off
+    0, and the minimal system for that pair refines it.
     """
-    if not is_transitive(action):
-        raise ValueError("primitivity is defined for transitive actions")
-    n = action.domain_size
+    n = len(gens[0])
     if n < 2:
         raise ValueError("domain must have at least 2 points")
-    alpha = 0
-    stab = action.image.point_stabilizer(alpha)
-    for orbit in stab.orbits():
-        beta = orbit[0]
-        if beta == alpha:
+    seen = set()
+    for beta in range(n):
+        if beta in seen:
             continue
-        system = minimal_blocks(action, alpha, beta)
-        if not system.is_trivial(n):
-            return False, system
-    return True, None
+        seen.add(beta)
+        orbit = [beta]
+        for x in orbit:
+            for g in stabilizer_gens:
+                if g[x] not in seen:
+                    seen.add(g[x])
+                    orbit.append(g[x])
+        if beta and not (system := _blocks(gens, 0, beta)).is_trivial(n):
+            return system
+    return None
+
+
+def is_primitive(action: Action) -> tuple[bool, BlockSystem | None]:
+    """Primitivity with an imprimitivity witness on failure."""
+    if not is_transitive(action):
+        raise ValueError("primitivity is defined for transitive actions")
+    image = action.image
+    witness = block_witness(
+        [g.images for g in image.generators],
+        [g.images for g in image.point_stabilizer(0).generators],
+    )
+    return witness is None, witness
+
+
+def edge_images(edges: Sequence[tuple[int, int]], perms: Iterable[Permutation]) -> list:
+    """The permutations of the edge indices that vertex permutations induce."""
+    index = {e: i for i, e in enumerate(edges)}
+    return [
+        tuple(index[(g[u], g[v]) if g[u] < g[v] else (g[v], g[u])] for u, v in edges)
+        for g in (p.images for p in perms)
+    ]
 
 
 class CosetTable:
@@ -321,16 +301,8 @@ def coset_action(group: Group, sub: Group, max_index: int = 10**5) -> Action:
     """The action of the group on the cosets of a subgroup; labels are
     coset-index 1-tuples."""
     table = CosetTable(group, sub, max_index)
-    image_gens = [Permutation(table.image_of(g.images)) for g in group.generators]
-    if not image_gens:
-        image_gens = [Permutation(_identity_t(table.index))]
-    image = build_group(image_gens, order=group.order)
-    return Action(
-        group=group,
-        domain_labels=tuple((i,) for i in range(table.index)),
-        image=image,
-        kernel_order=group.order // image.order,
-    )
+    gens = [Permutation(table.image_of(g.images)) for g in group.generators]
+    return _image_action(group, tuple((i,) for i in range(table.index)), gens)
 
 
 def maximality_via_primitivity(group: Group, sub: Group, max_index: int = 10**5) -> bool:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .perms import from_cycles
+from .perms import Permutation, from_cycles
 from .groups import (
     DEFAULT_ENUMERATION_CUTOFF,
     Group,
@@ -42,11 +42,13 @@ from .structure import (
     sylow_subgroup,
 )
 from .actions import (
-    act_on_pairs,
+    block_witness,
+    edge_images,
     is_k_transitive,
     is_primitive,
     is_frobenius,
     is_transitive,
+    natural_action,
     restrict_to_invariant_set,
 )
 from .graphs import (
@@ -223,7 +225,9 @@ def _once(check):
 
 @_once
 def is_edge_primitive(analysis: Analysis) -> Certificate:
-    """Primitivity of the edge action, with a block witness on failure."""
+    """Primitivity of the edge action, with a block witness on failure,
+    from the images on edge indices (edge 0 is the analysed edge) of the
+    generators of the group and of the edge stabilizer."""
     name = "edge-primitive"
     group, graph = analysis.group, analysis.graph
     check_preserves_edges(graph, group)
@@ -232,12 +236,14 @@ def is_edge_primitive(analysis: Analysis) -> Certificate:
     evidence: dict = {"edge_count": graph.num_edges, "group_order": group.order}
     if not analysis.edge_transitive:
         return analysis.not_applicable(name, "group is not edge-transitive", evidence)
-    evidence["edge_stabilizer_order"] = analysis.edge_stabilizer.order
-    action = act_on_pairs(group, graph.edges)
-    evidence["edge_action_kernel_order"] = action.kernel_order
-    primitive, witness = is_primitive(action)
-    evidence["primitive"] = primitive
-    if primitive:
+    stab = analysis.edge_stabilizer
+    evidence["edge_stabilizer_order"] = stab.order
+    k = len(group.generators)
+    images = edge_images(graph.edges, group.generators + stab.generators)
+    evidence["edge_action_kernel_order"] = _edge_kernel_order(group, graph, images[:k])
+    witness = block_witness(images[:k], images[k:])
+    evidence["primitive"] = witness is None
+    if witness is None:
         star = is_star(graph)
         evidence["graph_is_star"] = star
         if not star:
@@ -246,9 +252,25 @@ def is_edge_primitive(analysis: Analysis) -> Certificate:
     evidence["witness_block_size"] = witness.block_size
     evidence["witness_num_blocks"] = witness.num_blocks
     evidence["witness_blocks"] = sorted(
-        sorted(list(action.domain_labels[i]) for i in block) for block in witness.blocks
+        sorted(list(graph.edges[i]) for i in block) for block in witness.blocks
     )
     return analysis.certificate(name, FAIL, evidence)
+
+
+def _edge_kernel_order(group: Group, graph: Graph, images: list) -> int:
+    """The kernel order of an edge-transitive group's edge action, given
+    its generators' images on the edges.
+
+    An element fixing every edge fixes each vertex of valency >= 2, the
+    meet of two of its edges, and so each neighbour of one.  If there is
+    such a vertex, every edge has one as an end, so the kernel is the
+    pointwise stabilizer of the non-isolated vertices.  Otherwise the graph
+    is a matching, and the image on its edges is built.
+    """
+    if all(len(nbrs) < 2 for nbrs in graph.adjacency):
+        return group.order // build_group(map(Permutation, images), order=group.order).order
+    covered = [v for v, nbrs in enumerate(graph.adjacency) if nbrs]
+    return 1 if len(covered) == graph.n else group.pointwise_stabilizer(covered).order
 
 
 @_once
@@ -694,10 +716,9 @@ def affine_normal_check(analysis: Analysis, normal: Group) -> Certificate:
         "degree": group.degree,
         "residual_clause_checked": False,
     }
-    nat = restrict_to_invariant_set(group, range(group.degree))
-    if not is_k_transitive(nat, 2):
+    if not is_k_transitive(natural_action(group), 2):
         return analysis.not_applicable(name, "group is not 2-transitive", evidence)
-    n_nat = restrict_to_invariant_set(normal, range(group.degree))
+    n_nat = natural_action(normal)
     if not is_transitive(n_nat):
         return analysis.not_applicable(name, "normal subgroup is intransitive", evidence)
     stab = normal.point_stabilizer(0)

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import fileio
 from .groups import Group, ScaleLimitError
 from .graphs import Graph, automorphism_group
-from .actions import is_primitive, restrict_to_invariant_set, is_transitive
+from .actions import is_primitive, is_transitive, natural_action
 from .families import (
     CosetGraphSpec,
     build_group,
@@ -277,7 +277,7 @@ def cmd_group(args: argparse.Namespace) -> int:
         for orbit in group.orbits():
             print(f"orbit: {list(orbit)}")
     if args.blocks:
-        action = restrict_to_invariant_set(group, range(group.degree))
+        action = natural_action(group)
         if not is_transitive(action):
             print("blocks: group is intransitive")
             return EXIT_USAGE
@@ -285,7 +285,7 @@ def cmd_group(args: argparse.Namespace) -> int:
         if primitive:
             print("blocks: primitive (no nontrivial block system)")
         else:
-            cells = [sorted(x for (x,) in (action.domain_labels[i] for i in b)) for b in witness.blocks]
+            cells = [list(b) for b in witness.blocks]
             print(f"blocks: size {witness.block_size}: {cells}")
     return EXIT_OK
 

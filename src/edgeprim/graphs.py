@@ -459,8 +459,11 @@ def automorphism_group(graph: Graph) -> Group:
                     raise AssertionError("found automorphism does not reach target")
         level_orbits.append(len(orbit))
 
+    # The chain's base starts with the first edge (repeats are dropped), so
+    # the stabilizers of that edge and its arcs are read off the chain.
+    first_edge = graph.edges[0] if graph.edges else ()
     group = build_group(
-        gens or [Permutation(_identity_t(n))], base_prefix=tuple(base)
+        gens or [Permutation(_identity_t(n))], base_prefix=first_edge + tuple(base)
     )
     expected = 1
     for size in level_orbits:

@@ -145,3 +145,48 @@ def all_subgroups(elements: set[tuple[int, ...]], max_gens: int = 2):
     ident = tuple(range(n))
     seen.setdefault(frozenset({ident}), (ident,))
     return list(seen)
+
+
+
+def brute_edge_action(edges: list[tuple[int, int]], gens: list[tuple[int, ...]]):
+    """(kernel order, image order, witness) of the action on a sorted edge
+    list of the group that the vertex permutations ``gens`` generate, by
+    enumerating it.
+
+    The kernel order counts the elements that fix every edge, and the image
+    order the distinct permutations of the edges.  The minimal
+    block system through {0, beta} is the set of components of the orbital
+    graph of (0, beta): every congruence relating 0 and beta contains all
+    images of that pair, and the components are permuted by the group.  The
+    witness is that system, as sorted edge lists, for the least beta whose
+    orbital graph is disconnected; it is None when every one is connected,
+    which is Higman's criterion for primitivity.
+    """
+    index = {e: i for i, e in enumerate(edges)}
+    m = len(edges)
+    identity = tuple(range(m))
+    images = [
+        tuple(index[tuple(sorted((g[u], g[v])))] for u, v in edges)
+        for g in brute_closure(gens)
+    ]
+    kernel = sum(1 for h in images if h == identity)
+    for beta in range(1, m):
+        links = {x: set() for x in range(m)}
+        for h in images:
+            links[h[0]].add(h[beta])
+            links[h[beta]].add(h[0])
+        cells = []
+        unseen = set(range(m))
+        while unseen:
+            cell = set()
+            frontier = [min(unseen)]
+            while frontier:
+                x = frontier.pop()
+                if x in unseen:
+                    unseen.discard(x)
+                    cell.add(x)
+                    frontier.extend(links[x])
+            cells.append(sorted(list(edges[i]) for i in cell))
+        if len(cells) > 1:
+            return kernel, len(set(images)), sorted(cells)
+    return kernel, len(set(images)), None

@@ -1,16 +1,21 @@
+import itertools
+
 import pytest
 
 from edgeprim import (
-    act_on_2sets,
-    act_on_pairs,
-    act_on_tuples,
+    Action,
+    Analysis,
+    Permutation,
     agl1,
     build_group,
     complete_bipartite,
+    complete_graph,
     coset_action,
     from_cycles,
     maximality_via_primitivity,
     minimal_blocks,
+    natural_action,
+    is_edge_primitive,
     is_frobenius,
     is_k_transitive,
     is_primitive,
@@ -21,7 +26,6 @@ from edgeprim import (
     pgl2,
     psl2,
     restrict_to_invariant_set,
-    trivial_group,
 )
 from brute import brute_is_primitive
 
@@ -38,42 +42,52 @@ def natural(group):
     return restrict_to_invariant_set(group, range(group.degree))
 
 
-def test_s3_on_2_subsets():
-    s3 = build_group([from_cycles(3, [(0, 1)]), from_cycles(3, [(0, 1, 2)])])
-    a = act_on_2sets(s3)
-    assert a.domain_size == 3
-    assert a.image.order == 6
-    assert a.kernel_order == 1
+def on_pairs(group, pairs):
+    """The action on an invariant set of sorted pairs, from the images of
+    the generators."""
+    index = {p: i for i, p in enumerate(pairs)}
+    gens = [
+        Permutation(tuple(index[tuple(sorted((g(a), g(b))))] for a, b in pairs))
+        for g in group.generators
+    ]
+    image = build_group(gens, order=group.order)
+    return Action(group, tuple(pairs), image, group.order // image.order)
 
 
-def test_trivial_group_action():
-    a = act_on_2sets(trivial_group(4))
-    assert a.image.order == 1 and a.kernel_order == 1
+def on_2sets(group):
+    return on_pairs(group, list(itertools.combinations(range(group.degree), 2)))
 
 
 def test_s5_on_k5_edges():
-    a = act_on_pairs(s5(), [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    assert a.domain_size == 10
-    assert a.image.order == 120
-    assert a.kernel_order == 1
+    cert = is_edge_primitive(Analysis(s5(), complete_graph(5)))
+    assert cert.evidence["edge_count"] == 10
+    assert cert.evidence["edge_action_kernel_order"] == 1
+    assert cert.evidence["primitive"] is True
 
 
 def test_action_order_identity_holds():
+    # The edge-primitive kernel, read off the vertex chain, against the
+    # image chain of the action on 2-sets, i.e. on the edges of K_n.
     for group in (s4(), s5(), pgl2(5)):
-        a = act_on_2sets(group)
-        assert group.order == a.image.order * a.kernel_order
+        cert = is_edge_primitive(Analysis(group, complete_graph(group.degree)))
+        kernel = cert.evidence["edge_action_kernel_order"]
+        assert group.order == on_2sets(group).image.order * kernel
+
+
+def test_natural_action_is_the_group_on_its_points():
+    for group in (s4(), pgl2(7), agl1(9), build_group([from_cycles(6, [(0, 1, 2, 3, 4, 5)])])):
+        a, b = natural_action(group), natural(group)
+        assert a.image is group and a.kernel_order == 1
+        assert a.domain_labels == b.domain_labels
+        (prim_a, witness_a), (prim_b, witness_b) = is_primitive(a), is_primitive(b)
+        assert prim_a == prim_b
+        assert witness_a is witness_b is None or witness_a.blocks == witness_b.blocks
+        assert is_k_transitive(a, 2) == is_k_transitive(b, 2)
 
 
 def test_non_invariant_subset_rejected():
     with pytest.raises(ValueError):
         restrict_to_invariant_set(s5(), [0, 1])
-
-
-def test_tuple_action_on_arcs():
-    arcs = [(i, j) for i in range(4) for j in range(4) if i != j]
-    a = act_on_tuples(s4(), arcs)
-    assert a.domain_size == 12
-    assert is_transitive(a)
 
 
 def test_k_transitivity_of_symmetric_group():
@@ -165,7 +179,7 @@ def test_k33_edge_action_primitive():
 
     k33 = complete_bipartite(3)
     g = automorphism_group(k33)
-    a = act_on_pairs(g, k33.edges)
+    a = on_pairs(g, k33.edges)
     assert a.domain_size == 9
     primitive, _w = is_primitive(a)
     assert primitive
@@ -181,7 +195,7 @@ def test_primitivity_matches_exhaustive_partition_search():
         natural(psl2(11)),
         natural(agl1(8)),
         natural(agl1(9)),
-        act_on_2sets(s5()),
+        on_2sets(s5()),
         natural(build_group([from_cycles(8, [(0, 1, 2, 3, 4, 5, 6, 7)])])),
     ]
     for a in fixtures:

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from brute import brute_edge_action
 from edgeprim import (
     Analysis,
     RunConfig,
@@ -8,6 +11,7 @@ from edgeprim import (
     agl1,
     almost_simple_certificate,
     automorphism_group,
+    build_graph,
     build_group,
     complete_bipartite,
     complete_graph,
@@ -69,6 +73,61 @@ def test_edge_primitive_requires_edge_transitivity():
     aut = automorphism_group(g)
     cert = is_edge_primitive(Analysis(aut, g))
     assert cert.verdict == NOT_APPLICABLE
+
+
+def _graph_with_isolated(edges, isolated):
+    return build_graph(max(max(e) for e in edges) + 1 + isolated, edges)
+
+
+def _matching(m, isolated):
+    return _graph_with_isolated([(2 * i, 2 * i + 1) for i in range(m)], isolated)
+
+
+def _cycles(*lengths, isolated=0):
+    edges, start = [], 0
+    for n in lengths:
+        edges += [(start + i, start + (i + 1) % n) for i in range(n)]
+        start += n
+    return _graph_with_isolated(edges, isolated)
+
+
+def _edge_action_fixtures():
+    from test_graphs import _pg2_incidence
+
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    return {
+        **{f"matching-{m}+{k}": _matching(m, k) for m in (2, 3, 4) for k in (0, 2)},
+        "star-3+2": _graph_with_isolated([(0, 1), (0, 2), (0, 3)], 2),
+        "c5+3": _cycles(5, isolated=3),
+        "2c4": _cycles(4, 4),
+        "c6": _cycles(6),
+        "k4": _graph_with_isolated(k4, 0),
+        "2k3+1": _cycles(3, 3, isolated=1),
+        "petersen": petersen(),
+        "heawood": heawood(),
+        "k33": complete_bipartite(3),
+        "pg2-2": _pg2_incidence(2),
+        "pg2-3": _pg2_incidence(3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_edge_action_fixtures()))
+def test_edge_primitive_matches_the_enumerated_edge_action(name):
+    graph = _edge_action_fixtures()[name]
+    group = automorphism_group(graph)
+    cert = is_edge_primitive(Analysis(group, graph))
+    kernel, image_order, witness = brute_edge_action(
+        list(graph.edges), [g.images for g in group.generators]
+    )
+    assert group.order == kernel * image_order
+    assert cert.verdict == (PASS if witness is None else FAIL)
+    assert cert.evidence["edge_action_kernel_order"] == kernel
+    assert cert.evidence.get("witness_blocks") == witness
+    if name.startswith("matching"):
+        m, k = map(int, name.split("-")[1].split("+"))
+        assert kernel == 2**m * math.factorial(k)
+    if name in ("2c4", "c6", "k4", "2k3+1"):
+        assert witness is not None
 
 
 # -- s-degree --------------------------------------------------------------
@@ -386,23 +445,23 @@ def test_analysis_computes_each_shared_fact_once(monkeypatch):
     from edgeprim.cli import CHECKS
 
     simple_calls = _count_calls(monkeypatch, certify, "is_simple")
-    action_calls = _count_calls(monkeypatch, certify, "act_on_pairs")
+    image_calls = _count_calls(monkeypatch, certify, "edge_images")
     analysis = Analysis(pgl2(7), complete_graph(8))
     certs = [check(analysis) for check in CHECKS.values()]
     assert [c.check_name for c in certs] == list(CHECKS)
     assert len(simple_calls) == 1
-    assert len(action_calls) == 1
+    assert len(image_calls) == 1
 
 
 def test_lemma_suite_decides_edge_primitivity_once_per_fixture(monkeypatch, tmp_path):
     from edgeprim import certify
 
-    action_calls = _count_calls(monkeypatch, certify, "act_on_pairs")
+    image_calls = _count_calls(monkeypatch, certify, "edge_images")
     config = RunConfig(fixture_dir=tmp_path / "fixtures")
     rows = run_lemma_suite(["counting", "selfnorm", "sylow"], config)
     fixtures = {r.fixture for r in rows}
     assert len(rows) > len(fixtures)
-    assert len(action_calls) == len(fixtures)
+    assert len(image_calls) == len(fixtures)
 
 
 # -- suite, replayability -------------------------------------------------------

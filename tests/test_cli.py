@@ -118,6 +118,13 @@ def test_local_structure_on_edgeless_graph_is_a_usage_error(tmp_path, capsys):
     assert "graph has no edges" in capsys.readouterr().err
 
 
+def test_edge_primitive_on_a_single_edge_is_a_usage_error(tmp_path, capsys):
+    k2 = tmp_path / "k2.graph"
+    k2.write_text("graph\nn 2\ne 0 1\n")
+    assert run(["analyze", "--graph", str(k2), "--check", "edge-primitive"]) == 2
+    assert capsys.readouterr().err == "error: domain must have at least 2 points\n"
+
+
 def test_analyze_json_deterministic(tmp_path, capsys):
     path = tmp_path / "hw.graph"
     assert run(["construct", "--family", "heawood", "--out", str(path)]) == 0

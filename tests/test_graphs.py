@@ -392,3 +392,51 @@ def test_automorphism_group_of_projective_plane_incidence_graph(p):
     assert all(is_automorphism(g, h) for h in group.generators)
     if p == 2:
         assert group.order == automorphism_group(heawood()).order == 336
+
+
+def test_chain_base_starts_with_the_first_edge(hs_graph, hs_aut):
+    graphs = [
+        hs_graph,
+        petersen(),
+        heawood(),
+        _pg2_incidence(5),
+        build_graph(8, [(0, 1), (2, 3), (4, 5)]),  # a matching, 2 isolated vertices
+        build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),  # a star
+    ]
+    for g in graphs:
+        group = hs_aut if g is hs_graph else automorphism_group(g)
+        assert group.base[:2] == g.edges[0]
+
+
+def test_arc_stabilizers_on_hoffman_singleton_are_chain_reads(hs_graph, hs_aut, monkeypatch):
+    # The arc and the 1- and 2-arc stabilizers of s-degree (s_cap 2 skips
+    # the s = 8 probe) are base images, so no Schreier-Sims runs.
+    from edgeprim import Analysis, RunConfig, s_transitivity_degree
+    from edgeprim.groups import _Chain
+
+    sifts = []
+    sift = _Chain.sift
+    monkeypatch.setattr(_Chain, "sift", lambda *args: sifts.append(1) or sift(*args))
+    analysis = Analysis(hs_aut, hs_graph, config=RunConfig(s_cap=2))
+    assert analysis.arc_stabilizer.order == 720
+    cert = s_transitivity_degree(analysis)
+    assert [row["stabilizer_order"] for row in cert.evidence["ladder"]] == [720, 120]
+    assert sifts == []
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_projective_plane_incidence_graph_is_edge_primitive_and_4_arc_transitive(p):
+    # p = 13 has 366 vertices, past the byte kernel's degree 255.
+    from edgeprim import Analysis, is_edge_primitive, s_transitivity_degree
+    from edgeprim.certify import PASS
+
+    g = _pg2_incidence(p)
+    analysis = Analysis(automorphism_group(g), g)
+    edge = is_edge_primitive(analysis)
+    assert edge.verdict == PASS
+    points = p * p + p + 1
+    order = 2 * p**3 * (p**3 - 1) * (p**2 - 1)
+    assert edge.evidence["edge_stabilizer_order"] == order // (points * (p + 1))
+    assert edge.evidence["edge_action_kernel_order"] == 1
+    degree = s_transitivity_degree(analysis)
+    assert degree.verdict == PASS and degree.evidence["s_degree"] == 4

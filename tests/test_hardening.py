@@ -7,7 +7,6 @@ import pytest
 
 from edgeprim import (
     ScaleLimitError,
-    act_on_tuples,
     automorphism_group,
     build_graph,
     build_group,
@@ -87,16 +86,6 @@ def test_coset_action_index_cap():
     s8 = build_group([from_cycles(8, [(0, 1)]), from_cycles(8, [(0, 1, 2, 3, 4, 5, 6, 7)])])
     with pytest.raises(ScaleLimitError):
         coset_action(s8, trivial_group(8), max_index=1000)
-
-
-def test_act_on_tuples_sorts_labels():
-    flip = build_group([from_cycles(3, [(0, 1)])])
-    action = act_on_tuples(flip, [(1, 0), (0, 1)])
-    assert action.domain_labels == ((0, 1), (1, 0))
-    assert action.image.order == 2
-    s3 = build_group([from_cycles(3, [(0, 1)]), from_cycles(3, [(0, 1, 2)])])
-    with pytest.raises(ValueError):
-        act_on_tuples(s3, [(0, 1), (1, 0)])  # not invariant under a 3-cycle
 
 
 def test_s_arc_dp_matches_enumeration_on_irregular_graph():

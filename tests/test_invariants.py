@@ -2,7 +2,6 @@
 
 from edgeprim import (
     Analysis,
-    act_on_pairs,
     agl1,
     automorphism_group,
     build_group,
@@ -13,6 +12,7 @@ from edgeprim import (
     from_cycles,
     heawood,
     identity,
+    is_edge_primitive,
     is_k_transitive,
     is_normal,
     is_p_group,
@@ -26,6 +26,8 @@ from edgeprim import (
     valency,
 )
 from edgeprim.certify import PASS
+
+from brute import brute_edge_action
 
 
 def sample_groups():
@@ -100,9 +102,12 @@ def test_perfect_core_is_perfect():
 def test_action_order_identity_on_edge_actions():
     for graph in (complete_graph(5), petersen(), heawood(), complete_bipartite(3)):
         group = automorphism_group(graph)
-        action = act_on_pairs(group, graph.edges)
-        assert group.order == action.image.order * action.kernel_order
-        assert len(action.domain_labels) == action.image.degree
+        cert = is_edge_primitive(Analysis(group, graph))
+        kernel, image_order, _witness = brute_edge_action(
+            list(graph.edges), [g.images for g in group.generators]
+        )
+        assert cert.evidence["edge_action_kernel_order"] == kernel
+        assert group.order == image_order * kernel
 
 
 def test_two_arc_transitive_iff_locally_two_transitive():
