@@ -225,7 +225,8 @@ def is_primitive(action: Action) -> tuple[bool, BlockSystem | None]:
 
 
 def edge_images(edges: Sequence[tuple[int, int]], perms: Iterable[Permutation]) -> list:
-    """The permutations of the edge indices that vertex permutations induce."""
+    """The permutations that vertex permutations induce on the indices of
+    ``edges``, an invariant list of pairs (u, v) with u < v."""
     index = {e: i for i, e in enumerate(edges)}
     return [
         tuple(index[(g[u], g[v]) if g[u] < g[v] else (g[v], g[u])] for u, v in edges)
