@@ -190,3 +190,10 @@ def brute_edge_action(edges: list[tuple[int, int]], gens: list[tuple[int, ...]])
         if len(cells) > 1:
             return kernel, len(set(images)), sorted(cells)
     return kernel, len(set(images)), None
+
+
+def brute_s_arc_count(graph, s: int) -> int:
+    """The number of s-arcs, by listing them all."""
+    from edgeprim.graphs import iter_s_arcs
+
+    return len(list(iter_s_arcs(graph, s)))

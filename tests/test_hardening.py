@@ -9,6 +9,7 @@ from edgeprim import (
     ScaleLimitError,
     automorphism_group,
     build_graph,
+    CosetTable,
     build_group,
     coset_action,
     element_mapping,
@@ -85,7 +86,7 @@ def test_coset_action_with_nontrivial_kernel():
 def test_coset_action_index_cap():
     s8 = build_group([from_cycles(8, [(0, 1)]), from_cycles(8, [(0, 1, 2, 3, 4, 5, 6, 7)])])
     with pytest.raises(ScaleLimitError):
-        coset_action(s8, trivial_group(8), max_index=1000)
+        CosetTable(s8, trivial_group(8), max_index=1000)
 
 
 def test_s_arc_dp_matches_enumeration_on_irregular_graph():

@@ -95,7 +95,7 @@ def test_scale_limit_is_explicit():
 
 def test_centralizer_of_normal_in_s4():
     g = s4()
-    v4 = p_core(g, 2)
+    v4 = build_group([from_cycles(4, [(0, 1), (2, 3)]), from_cycles(4, [(0, 2), (1, 3)])])
     c = centralizer(g, v4)
     assert c.order == 4
 
@@ -384,11 +384,12 @@ def test_is_simple_walks_only_a_point_stabilizer(hs_core, monkeypatch):
 
 
 def _on_cosets_of_an_element(group, element_order):
-    from edgeprim.actions import coset_action
+    from edgeprim.actions import CosetTable
     from edgeprim.structure import elements
 
     x = next(g for g in elements(group) if g.order() == element_order)
-    return coset_action(group, build_group([x])).image
+    table = CosetTable(group, build_group([x]))
+    return build_group(Permutation(table.image_of(g.images)) for g in group.generators)
 
 
 @pytest.mark.parametrize(
