@@ -33,27 +33,17 @@ from .structure import (
     is_p_group,
     is_simple,
     is_soluble,
-    minimal_normal_subgroups,
     normal_subgroups,
     normalizer,
-    p_core,
     sylow_subgroup,
 )
 from .actions import (
-    Action,
     BlockSystem,
     CosetTable,
-    coset_action,
     is_frobenius,
     is_k_transitive,
     is_primitive,
-    is_regular,
-    is_semiregular,
-    is_three_halves_transitive,
     is_transitive,
-    maximality_via_primitivity,
-    minimal_blocks,
-    natural_action,
     restrict_to_invariant_set,
 )
 from .graphs import (
@@ -63,9 +53,7 @@ from .graphs import (
     arc_kernel,
     automorphism_group,
     build_graph,
-    count_s_arcs,
     diameter,
-    enumerate_s_arcs,
     girth,
     is_connected,
     local_action,

@@ -1,10 +1,9 @@
-"""Group actions on derived domains and permutation-group property tests.
+"""Induced actions and permutation-group property tests.
 
-An :class:`Action` packages the acting group, a labelled domain (each label
-a 1-tuple: a point of an invariant set, or a coset index), the induced
-permutation group on label indices, and the kernel order.  Labels are
-sorted so the induced image is deterministic.  Block systems need only
-generator images, so a graph's edges get no chain (:func:`block_witness`).
+An action is its image: the permutation group that the generators' images
+on a domain generate.  The property tests take that group.  Block systems
+need only generator images, so a graph's edges get no chain
+(:func:`block_witness`).
 """
 
 from __future__ import annotations
@@ -14,18 +13,6 @@ from typing import Iterable, Sequence
 
 from .perms import Permutation, _compose_t, _identity_t
 from .groups import Group, ScaleLimitError, build_group
-
-
-@dataclass(frozen=True, eq=False)
-class Action:
-    group: Group
-    domain_labels: tuple[tuple[int, ...], ...]
-    image: Group
-    kernel_order: int
-
-    @property
-    def domain_size(self) -> int:
-        return len(self.domain_labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,45 +30,36 @@ class BlockSystem:
         return self.block_size == 1 or self.block_size == domain_size
 
 
-def _image_action(group: Group, labels: tuple, image_gens: list[Permutation]) -> Action:
-    """The action whose image the generators' images generate."""
-    # The image's order divides the group's; reaching it means faithful.
-    image = build_group(image_gens, order=group.order)
-    if group.order % image.order != 0:
-        raise AssertionError("image order must divide group order")
-    return Action(group, labels, image, group.order // image.order)
-
-
-def restrict_to_invariant_set(group: Group, subset: Sequence[int]) -> Action:
-    """Restriction to an invariant point set, labelled by 1-tuples."""
+def restrict_to_invariant_set(group: Group, subset: Sequence[int]) -> Group:
+    """The image of the restriction to an invariant point set, on the
+    indices of its points in sorted order."""
     points = sorted(set(subset))
     index = {x: i for i, x in enumerate(points)}
     try:
         gens = [Permutation(tuple(index[g.images[x]] for x in points)) for g in group.generators]
     except KeyError as exc:
         raise ValueError(f"point set is not invariant: {exc} is outside it") from None
-    return _image_action(group, tuple((x,) for x in points), gens)
+    # The image's order divides the group's; reaching it means faithful.
+    image = build_group(gens, order=group.order)
+    if group.order % image.order != 0:
+        raise AssertionError("image order must divide group order")
+    return image
 
 
-def natural_action(group: Group) -> Action:
-    """The action on the points themselves: the group is its own image."""
-    return Action(group, tuple((x,) for x in range(group.degree)), group, 1)
-
-
-def is_transitive(action: Action) -> bool:
-    if action.domain_size == 0:
+def is_transitive(group: Group) -> bool:
+    if group.degree == 0:
         raise ValueError("empty domain")
-    return len(action.image.orbit(0)) == action.domain_size
+    return len(group.orbit(0)) == group.degree
 
 
-def is_k_transitive(action: Action, k: int) -> bool:
+def is_k_transitive(group: Group, k: int) -> bool:
     """Exact k-transitivity via iterated point stabilizers, k <= 5."""
     if not 1 <= k <= 5:
         raise ValueError("k must be between 1 and 5")
-    if action.domain_size < k:
+    if group.degree < k:
         return False
-    current = action.image
-    remaining = list(range(action.domain_size))
+    current = group
+    remaining = list(range(group.degree))
     for fixed in range(k):
         orbit = set(current.orbit(remaining[0]))
         if not all(x in orbit for x in remaining):
@@ -93,24 +71,13 @@ def is_k_transitive(action: Action, k: int) -> bool:
     return True
 
 
-def is_semiregular(action: Action) -> bool:
-    """Every point stabilizer is trivial (checked on orbit representatives)."""
-    img = action.image
-    return all(img.point_stabilizer(o[0]).order == 1 for o in img.orbits())
-
-
-def is_regular(action: Action) -> bool:
-    return is_transitive(action) and is_semiregular(action)
-
-
-def is_frobenius(action: Action) -> bool:
+def is_frobenius(group: Group) -> bool:
     """Transitive, nontrivial point stabilizers, and stabilizers semiregular
     off their fixed point.  Regular actions are not Frobenius here: the
     convention requires a nontrivial complement."""
-    if not is_transitive(action):
+    if not is_transitive(group):
         raise ValueError("Frobenius test requires a transitive action")
-    img = action.image
-    stab = img.point_stabilizer(0)
+    stab = group.point_stabilizer(0)
     if stab.order == 1:
         return False
     for orbit in stab.orbits():
@@ -120,28 +87,6 @@ def is_frobenius(action: Action) -> bool:
         if stab.pointwise_stabilizer([0, rep]).order != 1:
             return False
     return True
-
-
-def is_three_halves_transitive(action: Action) -> bool:
-    """Transitive with all point-stabilizer orbits off the fixed point of
-    equal length greater than 1."""
-    if not is_transitive(action):
-        raise ValueError("3/2-transitivity requires a transitive action")
-    if action.domain_size == 1:
-        return False
-    stab = action.image.point_stabilizer(0)
-    lengths = {len(o) for o in stab.orbits() if o != (0,)}
-    return len(lengths) == 1 and lengths != {1}
-
-
-def minimal_blocks(action: Action, alpha: int, beta: int) -> BlockSystem:
-    """The minimal block system whose block contains {alpha, beta}."""
-    if not is_transitive(action):
-        raise ValueError("block systems are defined for transitive actions")
-    n = action.domain_size
-    if alpha == beta or not (0 <= alpha < n and 0 <= beta < n):
-        raise ValueError("alpha and beta must be distinct domain points")
-    return _blocks([g.images for g in action.image.generators], alpha, beta)
 
 
 def _blocks(gens: Sequence[Sequence[int]], alpha: int, beta: int) -> BlockSystem:
@@ -212,14 +157,13 @@ def block_witness(
     return None
 
 
-def is_primitive(action: Action) -> tuple[bool, BlockSystem | None]:
+def is_primitive(group: Group) -> tuple[bool, BlockSystem | None]:
     """Primitivity with an imprimitivity witness on failure."""
-    if not is_transitive(action):
+    if not is_transitive(group):
         raise ValueError("primitivity is defined for transitive actions")
-    image = action.image
     witness = block_witness(
-        [g.images for g in image.generators],
-        [g.images for g in image.point_stabilizer(0).generators],
+        [g.images for g in group.generators],
+        [g.images for g in group.point_stabilizer(0).generators],
     )
     return witness is None, witness
 
@@ -297,19 +241,3 @@ class CosetTable:
             self.lookup[self.canonical(_compose_t(rep, g))] for rep in self.reps
         )
 
-
-def coset_action(group: Group, sub: Group, max_index: int = 10**5) -> Action:
-    """The action of the group on the cosets of a subgroup; labels are
-    coset-index 1-tuples."""
-    table = CosetTable(group, sub, max_index)
-    gens = [Permutation(table.image_of(g.images)) for g in group.generators]
-    return _image_action(group, tuple((i,) for i in range(table.index)), gens)
-
-
-def maximality_via_primitivity(group: Group, sub: Group, max_index: int = 10**5) -> bool:
-    """Whether sub is maximal in group: the coset action is primitive iff so."""
-    if sub.order == group.order:
-        raise ValueError("subgroup must be proper")
-    action = coset_action(group, sub, max_index)
-    primitive, _witness = is_primitive(action)
-    return primitive

@@ -48,7 +48,6 @@ from .actions import (
     is_primitive,
     is_frobenius,
     is_transitive,
-    natural_action,
     restrict_to_invariant_set,
 )
 from .graphs import (
@@ -76,7 +75,6 @@ NOT_APPLICABLE = "not-applicable"
 class RunConfig:
     enumeration_cutoff: int = DEFAULT_ENUMERATION_CUTOFF
     s_cap: int = 8
-    output_format: str = "json"
     fixture_dir: Path = Path("fixtures")
 
     def __post_init__(self) -> None:
@@ -84,8 +82,6 @@ class RunConfig:
             raise ValueError("s_cap must be between 1 and 8")
         if self.enumeration_cutoff < 10**3:
             raise ValueError("enumeration cutoff must be at least 1000")
-        if self.output_format not in ("json", "text"):
-            raise ValueError("output format must be 'json' or 'text'")
         object.__setattr__(self, "fixture_dir", Path(self.fixture_dir))
 
 
@@ -359,7 +355,7 @@ def _local_evidence(analysis: Analysis, v: int) -> dict:
     graph = analysis.graph
     u = graph.adjacency[v][0]
     local = analysis.local(v)
-    stab, image = local.action.group, local.action.image
+    stab, image = local.stabilizer, local.image
     kernel_uv = arc_kernel(analysis.group, graph, u, v)
     kernel_v_on_u = restrict_to_invariant_set(local.kernel, graph.adjacency[u])
     p_group, prime = is_p_group(kernel_uv)
@@ -370,19 +366,19 @@ def _local_evidence(analysis: Analysis, v: int) -> dict:
         "order_local_image": image.order,
         "order_vertex_kernel": local.kernel.order,
         "order_arc_kernel": kernel_uv.order,
-        "order_vertex_kernel_on_other_side": kernel_v_on_u.image.order,
+        "order_vertex_kernel_on_other_side": kernel_v_on_u.order,
         "arc_kernel_is_p_group": p_group,
         "arc_kernel_prime": prime,
     }
-    if local.action.domain_size >= 2 and is_transitive(local.action):
-        primitive, _w = is_primitive(local.action)
+    if image.degree >= 2 and is_transitive(image):
+        primitive, _w = is_primitive(image)
         out["locally_primitive"] = primitive
-        out["locally_2_transitive"] = is_k_transitive(local.action, 2)
+        out["locally_2_transitive"] = is_k_transitive(image, 2)
     else:
-        out["locally_primitive"] = local.action.domain_size < 2
+        out["locally_primitive"] = image.degree < 2
         out["locally_2_transitive"] = False
     out["extension_identity_ok"] = (
-        stab.order == kernel_uv.order * kernel_v_on_u.image.order * image.order
+        stab.order == kernel_uv.order * kernel_v_on_u.order * image.order
     )
     return out
 
@@ -548,7 +544,7 @@ def three_arc_criterion(analysis: Analysis) -> Certificate:
     left = degree >= 3
     evidence["three_arc_transitive"] = left
 
-    stab = local.action.group
+    stab = local.stabilizer
     evidence["order_vertex_stabilizer"] = stab.order
     core = perfect_core(reduce_generators(stab))
     evidence["order_vertex_stabilizer_core"] = core.order
@@ -716,22 +712,21 @@ def affine_normal_check(analysis: Analysis, normal: Group) -> Certificate:
         "degree": group.degree,
         "residual_clause_checked": False,
     }
-    if not is_k_transitive(natural_action(group), 2):
+    if not is_k_transitive(group, 2):
         return analysis.not_applicable(name, "group is not 2-transitive", evidence)
-    n_nat = natural_action(normal)
-    if not is_transitive(n_nat):
+    if not is_transitive(normal):
         return analysis.not_applicable(name, "normal subgroup is intransitive", evidence)
     stab = normal.point_stabilizer(0)
     evidence["order_N0"] = stab.order
     if stab.order == 1:
         return analysis.not_applicable(name, "normal subgroup is regular", evidence)
-    primitive, witness = is_primitive(n_nat)
+    primitive, witness = is_primitive(normal)
     evidence["normal_primitive"] = primitive
     if primitive:
         return analysis.not_applicable(name, "normal subgroup is primitive", evidence)
     evidence["witness_block_size"] = witness.block_size
     evidence["soluble"] = is_soluble(normal)
-    evidence["frobenius"] = is_frobenius(n_nat)
+    evidence["frobenius"] = is_frobenius(normal)
     try:
         evidence["stabilizer_cyclic"] = is_cyclic(stab, analysis.config.enumeration_cutoff)
     except ScaleLimitError as exc:

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import fileio
 from .groups import Group, ScaleLimitError
 from .graphs import Graph, automorphism_group
-from .actions import is_primitive, is_transitive, natural_action
+from .actions import is_primitive, is_transitive
 from .families import (
     CosetGraphSpec,
     build_group,
@@ -59,10 +59,11 @@ SIMPLE_FAMILIES = {
     "hoffman-singleton": hoffman_singleton,
 }
 
+# kind -> (builder, usage, vertices per unit of the parameter)
 PARAMETRIC_FAMILIES = {
-    "complete": (complete_graph, "complete:<n>"),
-    "complete-bipartite": (complete_bipartite, "complete-bipartite:<d>"),
-    "cycle": (cycle_graph, "cycle:<n>"),
+    "complete": (complete_graph, "complete:<n>", 1),
+    "complete-bipartite": (complete_bipartite, "complete-bipartite:<d>", 2),
+    "cycle": (cycle_graph, "cycle:<n>", 1),
 }
 
 CHECKS = {
@@ -78,7 +79,7 @@ CHECKS = {
 
 def _family_registry_text() -> str:
     names = sorted(SIMPLE_FAMILIES) + [
-        spec for _fn, spec in PARAMETRIC_FAMILIES.values()
+        spec for _fn, spec, _per in PARAMETRIC_FAMILIES.values()
     ] + ["coset:<specfile>"]
     return "known families: " + ", ".join(sorted(names))
 
@@ -89,17 +90,22 @@ def _build_family(family: str) -> tuple[Graph, Group | None]:
     if ":" in family:
         kind, arg = family.split(":", 1)
         if kind in PARAMETRIC_FAMILIES:
-            fn, spec = PARAMETRIC_FAMILIES[kind]
+            fn, spec, per = PARAMETRIC_FAMILIES[kind]
             if not arg.isdigit():
                 raise ValueError(f"expected an integer parameter in {spec!r}")
+            # Checked before building, so that no file is written that
+            # `analyze` would refuse.
+            n = per * int(arg)
+            if n > fileio.GRAPH_VERTEX_CAP:
+                raise ScaleLimitError(
+                    f"{family}: graph has {n} vertices, above the cap of "
+                    f"{fileio.GRAPH_VERTEX_CAP}"
+                )
             return fn(int(arg)), None
         if kind == "coset":
             group, sub_gens, connector = fileio.read_coset_spec(arg)
             sub = build_group(sub_gens)
-            graph, action = coset_graph(
-                CosetGraphSpec(group=group, subgroup=sub, connector=connector)
-            )
-            return graph, action.image
+            return coset_graph(CosetGraphSpec(group=group, subgroup=sub, connector=connector))
     raise KeyError(family)
 
 
@@ -130,7 +136,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         enumeration_cutoff=args.cutoff,
         s_cap=args.s_cap,
-        output_format="json" if args.json else "text",
         fixture_dir=Path(getattr(args, "fixture_dir", "fixtures")),
     )
 
@@ -175,6 +180,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    check_names = [c.strip() for c in args.check.split(",") if c.strip()]
+    unknown = [c for c in check_names if c not in CHECKS]
+    if unknown:
+        print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
+        print("known checks: " + ", ".join(sorted(CHECKS)), file=sys.stderr)
+        return EXIT_USAGE
     try:
         graph = fileio.read_graph(args.graph)
     except (OSError, fileio.FileFormatError) as exc:
@@ -203,12 +214,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             return EXIT_SCALE_LIMIT
         inputs["group_file"] = None
         inputs["group_source"] = "automorphism-group"
-    check_names = [c.strip() for c in args.check.split(",") if c.strip()]
-    unknown = [c for c in check_names if c not in CHECKS]
-    if unknown:
-        print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
-        print("known checks: " + ", ".join(sorted(CHECKS)), file=sys.stderr)
-        return EXIT_USAGE
     analysis = Analysis(group, graph, inputs, config)
     try:
         certs = [CHECKS[name](analysis) for name in check_names]
@@ -277,11 +282,10 @@ def cmd_group(args: argparse.Namespace) -> int:
         for orbit in group.orbits():
             print(f"orbit: {list(orbit)}")
     if args.blocks:
-        action = natural_action(group)
-        if not is_transitive(action):
+        if not is_transitive(group):
             print("blocks: group is intransitive")
             return EXIT_USAGE
-        primitive, witness = is_primitive(action)
+        primitive, witness = is_primitive(group)
         if primitive:
             print("blocks: primitive (no nontrivial block system)")
         else:

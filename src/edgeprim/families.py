@@ -19,7 +19,7 @@ from .groups import (
     derived_subgroup,
     is_subgroup,
 )
-from .actions import Action, CosetTable
+from .actions import CosetTable
 from .graphs import Graph, build_graph
 from .structure import _is_prime
 
@@ -363,8 +363,8 @@ class CosetGraphSpec:
 COSET_INDEX_CAP = 10**4
 
 
-def coset_graph(spec: CosetGraphSpec) -> tuple[Graph, Action]:
-    """Build the coset graph and the vertex action of the group.
+def coset_graph(spec: CosetGraphSpec) -> tuple[Graph, Group]:
+    """Build the coset graph and the group's image on its vertices.
 
     Adjacency: cosets Hx ~ Hy iff y x^{-1} lies in H a H, so the neighbors
     of Hx are the cosets H a h x.  The relation must be symmetric (double
@@ -432,14 +432,7 @@ def coset_graph(spec: CosetGraphSpec) -> tuple[Graph, Action]:
         )
 
     image_gens = [Permutation(table.image_of(g.images)) for g in group.generators]
-    image = build_group(image_gens, order=group.order)
-    action = Action(
-        group=group,
-        domain_labels=tuple((i,) for i in range(index)),
-        image=image,
-        kernel_order=group.order // image.order,
-    )
-    return graph, action
+    return graph, build_group(image_gens, order=group.order)
 
 
 def _conjugate_intersection(sub: Group, a: Permutation) -> int:

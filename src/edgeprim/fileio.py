@@ -166,10 +166,6 @@ def sha256_of_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def sha256_of_text(text: str) -> str:
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
-
-
 def read_coset_spec(path: str | Path) -> tuple[Group, list[Permutation], Permutation]:
     """Coset-graph spec: JSON referencing a group file, subgroup generators
     and a connector permutation (both as 0-based image lists)."""

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .perms import Permutation, _identity_t
 from .groups import Group, ScaleLimitError, build_group
-from .actions import Action, restrict_to_invariant_set
+from .actions import restrict_to_invariant_set
 
 S_ARC_CAP = 8
 AUTOMORPHISM_VERTEX_CAP = 1000
@@ -41,15 +41,6 @@ class Graph:
         """The edges (u, v) with u < v, as a set; built once per graph."""
         return frozenset(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
-    def degree_of(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
@@ -67,10 +58,11 @@ class SArc:
 
 @dataclass(frozen=True, eq=False)
 class LocalAction:
-    """The stabilizer of a vertex acting on its neighborhood, with kernel."""
+    """The stabilizer of a vertex, its image on the neighborhood, and the
+    kernel of that action."""
 
-    vertex: int
-    action: Action
+    stabilizer: Group
+    image: Group
     kernel: Group
 
 
@@ -228,28 +220,6 @@ def iter_s_arcs(graph: Graph, s: int) -> Iterator[SArc]:
             yield from extend([v, u])
 
 
-def enumerate_s_arcs(graph: Graph, s: int) -> list[SArc]:
-    return list(iter_s_arcs(graph, s))
-
-
-def count_s_arcs(graph: Graph, s: int) -> int:
-    """Exact s-arc count by dynamic programming over terminal arcs."""
-    if not 1 <= s <= S_ARC_CAP:
-        raise ValueError(f"s must be between 1 and {S_ARC_CAP}")
-    counts = {
-        (u, v): 1 for u in range(graph.n) for v in graph.adjacency[u]
-    }
-    for _ in range(s - 1):
-        nxt: dict[tuple[int, int], int] = {}
-        for (u, v), c in counts.items():
-            for w in graph.adjacency[v]:
-                if w != u:
-                    key = (v, w)
-                    nxt[key] = nxt.get(key, 0) + c
-        counts = nxt
-    return sum(counts.values())
-
-
 def first_s_arc(graph: Graph, s: int) -> SArc | None:
     """Lexicographically smallest s-arc, or None."""
     for arc in iter_s_arcs(graph, s):
@@ -285,11 +255,11 @@ def local_action(group: Group, graph: Graph, v: int) -> LocalAction:
         raise ValueError(f"vertex {v} out of range")
     nbrs = graph.adjacency[v]
     stab = group.point_stabilizer(v)
-    action = restrict_to_invariant_set(stab, nbrs)
+    image = restrict_to_invariant_set(stab, nbrs)
     kernel = group.pointwise_stabilizer((v,) + nbrs)
-    if stab.order != action.image.order * kernel.order:
+    if stab.order != image.order * kernel.order:
         raise AssertionError("local action orders are inconsistent")
-    return LocalAction(vertex=v, action=action, kernel=kernel)
+    return LocalAction(stabilizer=stab, image=image, kernel=kernel)
 
 
 def arc_kernel(group: Group, graph: Graph, u: int, v: int) -> Group:

@@ -131,9 +131,6 @@ class Permutation:
             out.append(tuple(cycle))
         return tuple(out)
 
-    def moved_points(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.images) if i != x)
-
     def __repr__(self) -> str:
         cycles = self.cycles()
         if not cycles:

@@ -35,7 +35,6 @@ from .groups import (
     build_group,
     derived_subgroup,
     is_abelian,
-    is_normal,
     is_subgroup,
     normal_closure,
     same_subgroup,
@@ -336,21 +335,6 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
     return True
 
 
-def minimal_normal_subgroups(group: Group, bound: int = 10**5) -> list[Group]:
-    """Minimal elements of the normal subgroup poset, via class closures."""
-    _check_cutoff(group, bound, "minimal normal subgroup search")
-    closures = _class_closures(group, bound)
-    minimal = []
-    for n in closures:
-        if any(
-            other.order < n.order and is_subgroup(n, other) for other in closures
-        ):
-            continue
-        minimal.append(n)
-    minimal.sort(key=lambda g: g.order)
-    return minimal
-
-
 def _class_closures(group: Group, cutoff: int) -> list[Group]:
     out: list[Group] = []
     for rep, _size in conjugacy_classes(group, cutoff):
@@ -421,34 +405,6 @@ def sylow_subgroup(
             raise AssertionError("Sylow growth stalled; normalizer argument violated")
     assert current.order == target
     return current
-
-
-def p_core(group: Group, p: int, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> Group:
-    """Largest normal p-subgroup: intersection of all Sylow p-subgroups."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    _check_cutoff(group, cutoff, "p-core")
-    if group.order % p != 0:
-        return trivial_group(group.degree)
-    sylow = sylow_subgroup(group, p, cutoff)
-    k = _kernel(group.degree)
-    common = set(_iter_elements_bytes(sylow))
-    gen_pairs = _conjugators(group)
-    seen_keys = {tuple(sorted(common))}
-    queue = [sorted(common)]
-    while queue and len(common) > 1:
-        elems = queue.pop()
-        for gi, g in gen_pairs:
-            conj = sorted(k.mul(k.mul(gi, k.table(t)), g) for t in elems)
-            key = tuple(conj)
-            if key not in seen_keys:
-                seen_keys.add(key)
-                queue.append(conj)
-                common &= set(conj)
-    gens = [Permutation._trusted(t) for t in sorted(common)]
-    core = build_group(gens or [Permutation(_identity_t(group.degree))])
-    assert is_normal(group, core)
-    return core
 
 
 def _power(p: Permutation, e: int) -> Permutation:

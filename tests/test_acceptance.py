@@ -192,11 +192,11 @@ def test_criterion_6_oracle_equivalence():
     ]
     prim_checked = 0
     for group in fixtures:
-        action = restrict_to_invariant_set(group, range(group.degree))
-        if action.domain_size > 12 or not is_transitive(action):
+        image = restrict_to_invariant_set(group, range(group.degree))
+        if image.degree > 12 or not is_transitive(image):
             continue
-        gens = [g.images for g in action.image.generators]
-        assert is_primitive(action)[0] == brute_is_primitive(action.domain_size, gens)
+        gens = [g.images for g in image.generators]
+        assert is_primitive(image)[0] == brute_is_primitive(image.degree, gens)
         prim_checked += 1
     assert prim_checked >= 6
 

@@ -3,25 +3,18 @@ import itertools
 import pytest
 
 from edgeprim import (
-    Action,
     Analysis,
+    CosetTable,
     Permutation,
     agl1,
     build_group,
     complete_bipartite,
     complete_graph,
-    coset_action,
     from_cycles,
-    maximality_via_primitivity,
-    minimal_blocks,
-    natural_action,
     is_edge_primitive,
     is_frobenius,
     is_k_transitive,
     is_primitive,
-    is_regular,
-    is_semiregular,
-    is_three_halves_transitive,
     is_transitive,
     pgl2,
     psl2,
@@ -43,19 +36,32 @@ def natural(group):
 
 
 def on_pairs(group, pairs):
-    """The action on an invariant set of sorted pairs, from the images of
+    """The image on an invariant set of sorted pairs, from the images of
     the generators."""
     index = {p: i for i, p in enumerate(pairs)}
     gens = [
         Permutation(tuple(index[tuple(sorted((g(a), g(b))))] for a, b in pairs))
         for g in group.generators
     ]
-    image = build_group(gens, order=group.order)
-    return Action(group, tuple(pairs), image, group.order // image.order)
+    return build_group(gens, order=group.order)
 
 
 def on_2sets(group):
     return on_pairs(group, list(itertools.combinations(range(group.degree), 2)))
+
+
+def on_cosets(group, sub):
+    """The image on the right cosets of ``sub``, from a coset table."""
+    table = CosetTable(group, sub)
+    gens = [Permutation(table.image_of(g.images)) for g in group.generators]
+    return build_group(gens, order=group.order)
+
+
+def three_halves_transitive(group):
+    """Transitive, with every orbit of the stabilizer of 0 off 0 of one
+    length greater than 1."""
+    lengths = {len(o) for o in group.point_stabilizer(0).orbits() if o != (0,)}
+    return is_transitive(group) and len(lengths) == 1 and lengths != {1}
 
 
 def test_s5_on_k5_edges():
@@ -71,14 +77,15 @@ def test_action_order_identity_holds():
     for group in (s4(), s5(), pgl2(5)):
         cert = is_edge_primitive(Analysis(group, complete_graph(group.degree)))
         kernel = cert.evidence["edge_action_kernel_order"]
-        assert group.order == on_2sets(group).image.order * kernel
+        assert group.order == on_2sets(group).order * kernel
 
 
 def test_natural_action_is_the_group_on_its_points():
+    # Restricting to every point gives the group back, so the property
+    # tests read the group itself.
     for group in (s4(), pgl2(7), agl1(9), build_group([from_cycles(6, [(0, 1, 2, 3, 4, 5)])])):
-        a, b = natural_action(group), natural(group)
-        assert a.image is group and a.kernel_order == 1
-        assert a.domain_labels == b.domain_labels
+        a, b = group, natural(group)
+        assert b.order == a.order and b.generators == a.generators
         (prim_a, witness_a), (prim_b, witness_b) = is_primitive(a), is_primitive(b)
         assert prim_a == prim_b
         assert witness_a is witness_b is None or witness_a.blocks == witness_b.blocks
@@ -116,19 +123,19 @@ def test_k_transitive_implies_lower():
 def test_regular_action_is_not_frobenius():
     z5 = build_group([from_cycles(5, [(0, 1, 2, 3, 4)])])
     a = natural(z5)
-    assert is_regular(a) and is_semiregular(a)
+    assert is_transitive(a) and a.order == a.degree
     assert not is_frobenius(a)
 
 
 def test_agl15_is_frobenius():
     a = natural(agl1(5))
     assert is_frobenius(a)
-    assert is_three_halves_transitive(a)
+    assert three_halves_transitive(a)
 
 
 def test_s4_three_halves_but_not_frobenius():
     a = natural(s4())
-    assert is_three_halves_transitive(a)
+    assert three_halves_transitive(a)
     assert not is_frobenius(a)
 
 
@@ -137,7 +144,7 @@ def test_two_transitive_implies_primitive_and_three_halves():
         a = natural(group)
         if is_k_transitive(a, 2):
             assert is_primitive(a)[0]
-            assert is_three_halves_transitive(a)
+            assert three_halves_transitive(a)
 
 
 def test_three_halves_implies_primitive_or_frobenius():
@@ -150,8 +157,8 @@ def test_three_halves_implies_primitive_or_frobenius():
         natural(build_group([from_cycles(6, [(0, 1, 2, 3, 4, 5)])])),
     ]
     for a in fixtures:
-        if a.domain_size <= 30 and is_transitive(a):
-            if is_three_halves_transitive(a):
+        if a.degree <= 30 and is_transitive(a):
+            if three_halves_transitive(a):
                 assert is_primitive(a)[0] or is_frobenius(a)
 
 
@@ -180,7 +187,7 @@ def test_k33_edge_action_primitive():
     k33 = complete_bipartite(3)
     g = automorphism_group(k33)
     a = on_pairs(g, k33.edges)
-    assert a.domain_size == 9
+    assert a.degree == 9
     primitive, _w = is_primitive(a)
     assert primitive
 
@@ -199,36 +206,37 @@ def test_primitivity_matches_exhaustive_partition_search():
         natural(build_group([from_cycles(8, [(0, 1, 2, 3, 4, 5, 6, 7)])])),
     ]
     for a in fixtures:
-        if a.domain_size > 12 or not is_transitive(a):
+        if a.degree > 12 or not is_transitive(a):
             continue
-        gens = [g.images for g in a.image.generators]
-        assert is_primitive(a)[0] == brute_is_primitive(a.domain_size, gens)
+        gens = [g.images for g in a.generators]
+        assert is_primitive(a)[0] == brute_is_primitive(a.degree, gens)
 
 
-def test_minimal_blocks_requires_transitivity():
+def test_primitivity_requires_transitivity():
     g = build_group([from_cycles(4, [(0, 1)])])
     with pytest.raises(ValueError):
-        minimal_blocks(natural(g), 0, 1)
+        is_primitive(g)
 
 
 def test_maximality_examples():
+    # A subgroup is maximal iff the action on its cosets is primitive.
     a4 = build_group([from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(1, 2, 3)])])
-    assert maximality_via_primitivity(s4(), a4)
+    assert is_primitive(on_cosets(s4(), a4))[0]
     d8 = build_group([from_cycles(5, [(0, 1, 2, 3)]), from_cycles(5, [(0, 2)])])
-    assert not maximality_via_primitivity(s5(), d8)
+    assert not is_primitive(on_cosets(s5(), d8))[0]
     g = pgl2(7)
     edge_stab = g.setwise_stabilizer([0, 1])
     assert edge_stab.order == 12
     assert g.order // edge_stab.order == 28
-    assert maximality_via_primitivity(g, edge_stab)
+    assert is_primitive(on_cosets(g, edge_stab))[0]
     with pytest.raises(ValueError):
-        maximality_via_primitivity(s4(), s4())
+        is_primitive(on_cosets(s4(), s4()))
 
 
 def test_coset_action_degree_and_transitivity():
     g = s5()
     h = g.point_stabilizer(0)
-    a = coset_action(g, h)
-    assert a.domain_size == 5
+    a = on_cosets(g, h)
+    assert a.degree == 5
     assert is_transitive(a)
-    assert a.image.order == 120
+    assert a.order == 120

@@ -1,7 +1,7 @@
 import hashlib
 import json
 
-from edgeprim import build_group, from_cycles
+from edgeprim import build_graph, build_group, from_cycles
 from edgeprim.cli import main
 from edgeprim.fileio import read_graph, read_group, write_graph, write_group
 from edgeprim.families import complete_graph, petersen
@@ -276,3 +276,39 @@ def test_group_blocks_of_an_intransitive_group_is_a_usage_error(tmp_path, capsys
     )
     assert rc == 2
     assert out == "degree: 4\norder: 4\nbase: [2, 0]\nblocks: group is intransitive\n"
+
+
+def test_construct_refuses_a_family_above_the_graph_file_cap(tmp_path, capsys):
+    # `analyze` refuses a graph file above fileio.GRAPH_VERTEX_CAP, so
+    # `construct` refuses to write one, before building the graph.
+    for family in ("cycle:10001", "complete-bipartite:5001"):
+        out = tmp_path / "big.graph"
+        assert run(["construct", "--family", family, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "above the cap of 10000" in err and family in err
+        assert not out.exists()
+    out = tmp_path / "c10000.graph"
+    assert run(["construct", "--family", "cycle:10000", "--out", str(out)]) == 0
+    assert read_graph(out).n == 10000
+
+
+def test_analyze_rejects_an_unknown_check_before_reading_or_searching(
+    tmp_path, capsys, monkeypatch
+):
+    from edgeprim import cli
+
+    path = tmp_path / "matching.graph"
+    write_graph(build_graph(120, [(2 * i, 2 * i + 1) for i in range(60)]), path)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("called before the check names were validated")
+
+    monkeypatch.setattr(cli, "automorphism_group", refuse)
+    monkeypatch.setattr(cli.fileio, "read_graph", refuse)
+    rc = run(["analyze", "--graph", str(path), "--check", "edge-primitve"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "unknown checks: edge-primitve\n"
+        "known checks: almost-simple, edge-primitive, local-structure, main-theorem, "
+        "prime-valency, s-degree, three-arc\n"
+    )

@@ -142,18 +142,18 @@ def test_coset_graph_k4_from_s4():
     s4 = build_group([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])])
     s3 = build_group([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2)])])
     spec = CosetGraphSpec(group=s4, subgroup=s3, connector=from_cycles(4, [(2, 3)]))
-    graph, action = coset_graph(spec)
+    graph, image = coset_graph(spec)
     assert graph.n == 4 and graph.num_edges == 6
     assert valency(graph) == 3
     assert automorphism_group(graph).order == 24
-    assert action.image.order == 24
+    assert image.degree == 4 and image.order == 24
 
 
 def test_coset_graph_k5_from_a5():
     a5 = build_group([from_cycles(5, [(0, 1, 2)]), from_cycles(5, [(0, 1, 2, 3, 4)])])
     a4 = build_group([from_cycles(5, [(0, 1, 2)]), from_cycles(5, [(1, 2, 3)])])
     spec = CosetGraphSpec(group=a5, subgroup=a4, connector=from_cycles(5, [(0, 1), (3, 4)]))
-    graph, action = coset_graph(spec)
+    graph, image = coset_graph(spec)
     assert graph.n == 5 and graph.num_edges == 10
     assert valency(graph) == 4
 
@@ -171,7 +171,7 @@ def test_coset_graph_round_trip_reconstruction():
     conn = element_mapping(g, (u, v), (v, u))
     assert conn is not None and not h.contains(conn)
     spec = CosetGraphSpec(group=g, subgroup=h, connector=conn)
-    graph, _action = coset_graph(spec)
+    graph, _image = coset_graph(spec)
     assert graph.n == hw.n
     assert valency(graph) == valency(hw)
     assert girth(graph) == girth(hw)

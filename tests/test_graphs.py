@@ -147,17 +147,17 @@ def test_local_action_k5():
     k5 = complete_graph(5)
     g = automorphism_group(k5)
     la = local_action(g, k5, 0)
-    assert la.action.image.order == 24
+    assert la.image.order == 24
     assert la.kernel.order == 1
     stab = g.point_stabilizer(0)
-    assert stab.order == la.action.image.order * la.kernel.order
+    assert stab.order == la.image.order * la.kernel.order
 
 
 def test_local_action_heawood():
     hw = heawood()
     g = automorphism_group(hw)
     la = local_action(g, hw, 0)
-    assert la.action.image.order == 6
+    assert la.image.order == 6
     assert la.kernel.order == 4
 
 
@@ -191,7 +191,7 @@ def test_local_action_identity_across_fixtures(hs_graph, hs_aut):
     ]
     for graph, group in fixtures:
         la = local_action(group, graph, 0)
-        assert group.point_stabilizer(0).order == la.action.image.order * la.kernel.order
+        assert group.point_stabilizer(0).order == la.image.order * la.kernel.order
 
 
 def test_first_s_arc_is_lexicographically_least():

@@ -14,10 +14,7 @@ from edgeprim import (
     identity,
     is_edge_primitive,
     is_k_transitive,
-    is_normal,
-    is_p_group,
     local_action,
-    p_core,
     perfect_core,
     petersen,
     pgl2,
@@ -79,20 +76,6 @@ def test_fingerprint_invariants():
         assert sum(c for _o, c in fp.element_order_histogram) == fp.order
 
 
-def test_p_core_is_normal_p_subgroup():
-    groups = [
-        build_group([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])]),
-        pgl2(5),
-        agl1(8),
-    ]
-    for g in groups:
-        for p in (2, 3, 5, 7):
-            core = p_core(g, p)
-            assert is_normal(g, core)
-            flag, prime = is_p_group(core)
-            assert flag and (prime in (None, p))
-
-
 def test_perfect_core_is_perfect():
     for g in sample_groups():
         core = perfect_core(g)
@@ -131,7 +114,7 @@ def test_two_arc_transitive_iff_locally_two_transitive():
         locally_2t = []
         for v in range(graph.n):
             la = local_action(group, graph, v)
-            locally_2t.append(is_k_transitive(la.action, 2))
+            locally_2t.append(is_k_transitive(la.image, 2))
         assert all(locally_2t) == (cert.evidence["s_degree"] >= 2)
 
 
@@ -142,8 +125,8 @@ def test_hs_lemma_instances(hs_graph, hs_aut, hs_core):
     assert arc_kernel(hs_aut, hs_graph, u, v).order == 1
 
     la = local_action(hs_aut, hs_graph, 0)
-    assert la.action.domain_size == 7
-    assert is_k_transitive(la.action, 2)
+    assert la.image.degree == 7
+    assert is_k_transitive(la.image, 2)
 
     cert = counting_identity_check(Analysis(hs_aut, hs_graph), hs_core)
     assert cert.verdict == PASS

@@ -3,11 +3,12 @@
 import random
 
 from edgeprim import (
+    CosetTable,
     Permutation,
     build_group,
     centralizer,
     from_cycles,
-    maximality_via_primitivity,
+    is_primitive,
     normalizer,
     trivial_group,
 )
@@ -128,4 +129,7 @@ def test_maximality_matches_subgroup_lattice_of_s4():
             sub_elements < other < whole for other in lattice
         )
         sub = build_group([Permutation(g) for g in sorted(sub_elements)])
-        assert maximality_via_primitivity(s4, sub) == brute_maximal
+        # Maximal iff the action on the cosets is primitive.
+        table = CosetTable(s4, sub)
+        cosets = build_group(Permutation(table.image_of(g.images)) for g in s4.generators)
+        assert is_primitive(cosets)[0] == brute_maximal

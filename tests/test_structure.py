@@ -15,14 +15,10 @@ from edgeprim import (
     fingerprint,
     from_cycles,
     is_cyclic,
-    is_normal,
-    is_p_group,
     is_simple,
     is_soluble,
-    minimal_normal_subgroups,
     normal_subgroups,
     normalizer,
-    p_core,
     sylow_subgroup,
 )
 from edgeprim.families import agammal1, agl1, pgl2, psl2
@@ -120,22 +116,6 @@ def test_transitive_centralizer_does_not_enumerate(hs_aut, hs_core, monkeypatch)
     assert centralizer(s5(), build_group([from_cycles(5, [(0, 1, 2)])])).order == 6
     assert enumerated == [120]
     assert is_simple(hs_core)
-
-
-def test_p_core_examples():
-    g = s4()
-    assert p_core(g, 2).order == 4
-    assert p_core(g, 3).order == 1
-    elementary = build_group([from_cycles(4, [(0, 1)]), from_cycles(4, [(2, 3)])])
-    assert p_core(elementary, 2).order == elementary.order
-
-
-def test_p_core_is_normal_p_group():
-    g = s4()
-    core = p_core(g, 2)
-    assert is_normal(g, core)
-    flag, prime = is_p_group(core)
-    assert flag and prime == 2
 
 
 def test_sylow_orders():
@@ -434,12 +414,6 @@ def test_conjugacy_class_sizes_sum_to_order():
     classes = conjugacy_classes(g)
     assert sum(size for _rep, size in classes) == 24
     assert len(classes) == 5
-
-
-def test_minimal_normal_subgroups():
-    assert [n.order for n in minimal_normal_subgroups(s5())] == [60]
-    assert [n.order for n in minimal_normal_subgroups(s4())] == [4]
-    assert [n.order for n in minimal_normal_subgroups(a5())] == [60]
 
 
 def test_normal_subgroup_sweep():
