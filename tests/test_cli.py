@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from edgeprim import build_graph, build_group, from_cycles
 from edgeprim.cli import main
 from edgeprim.fileio import read_graph, read_group, write_graph, write_group
@@ -240,42 +242,33 @@ def test_group_utility(tmp_path, capsys):
     assert "blocks: size" in out
 
 
-def _group_blocks(tmp_path, capsys, name, generators):
-    path = tmp_path / f"{name}.group"
+@pytest.mark.parametrize(
+    "generators, exit_code, stdout",
+    [
+        (
+            [from_cycles(5, [(0, 1)]), from_cycles(5, [(0, 1, 2, 3, 4)])],
+            0,
+            "degree: 5\norder: 120\nbase: [0, 1, 2, 3]\n"
+            "blocks: primitive (no nontrivial block system)\n",
+        ),
+        (
+            [from_cycles(6, [(0, 1, 2, 3, 4, 5)]), from_cycles(6, [(1, 5), (2, 4)])],
+            0,
+            "degree: 6\norder: 12\nbase: [1, 0]\nblocks: size 3: [[0, 2, 4], [1, 3, 5]]\n",
+        ),
+        (
+            [from_cycles(4, [(0, 1)]), from_cycles(4, [(2, 3)])],
+            2,
+            "degree: 4\norder: 4\nbase: [2, 0]\nblocks: group is intransitive\n",
+        ),
+    ],
+    ids=["S5 primitive", "D12 witness", "intransitive"],
+)
+def test_group_blocks_output(generators, exit_code, stdout, tmp_path, capsys):
+    path = tmp_path / "g.group"
     write_group(build_group(generators), path)
-    rc = run(["group", "--group", str(path), "--blocks"])
-    return rc, capsys.readouterr().out
-
-
-def test_group_blocks_of_s5_is_primitive(tmp_path, capsys):
-    rc, out = _group_blocks(
-        tmp_path, capsys, "s5", [from_cycles(5, [(0, 1)]), from_cycles(5, [(0, 1, 2, 3, 4)])]
-    )
-    assert rc == 0
-    assert out == (
-        "degree: 5\norder: 120\nbase: [0, 1, 2, 3]\n"
-        "blocks: primitive (no nontrivial block system)\n"
-    )
-
-
-def test_group_blocks_of_d12_prints_the_witness(tmp_path, capsys):
-    rc, out = _group_blocks(
-        tmp_path, capsys, "d12",
-        [from_cycles(6, [(0, 1, 2, 3, 4, 5)]), from_cycles(6, [(1, 5), (2, 4)])],
-    )
-    assert rc == 0
-    assert out == (
-        "degree: 6\norder: 12\nbase: [1, 0]\n"
-        "blocks: size 3: [[0, 2, 4], [1, 3, 5]]\n"
-    )
-
-
-def test_group_blocks_of_an_intransitive_group_is_a_usage_error(tmp_path, capsys):
-    rc, out = _group_blocks(
-        tmp_path, capsys, "v4", [from_cycles(4, [(0, 1)]), from_cycles(4, [(2, 3)])]
-    )
-    assert rc == 2
-    assert out == "degree: 4\norder: 4\nbase: [2, 0]\nblocks: group is intransitive\n"
+    assert run(["group", "--group", str(path), "--blocks"]) == exit_code
+    assert capsys.readouterr().out == stdout
 
 
 def test_construct_refuses_a_family_above_the_graph_file_cap(tmp_path, capsys):

@@ -6,11 +6,11 @@ import random
 import pytest
 
 from edgeprim import (
+    CosetTable,
+    Permutation,
     ScaleLimitError,
     automorphism_group,
     build_graph,
-    CosetTable,
-    Permutation,
     build_group,
     element_mapping,
     from_cycles,
