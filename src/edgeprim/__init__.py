@@ -23,12 +23,9 @@ from .groups import (
     trivial_group,
 )
 from .structure import (
-    GroupFingerprint,
-    center,
     centralizer,
     conjugacy_classes,
     elements,
-    fingerprint,
     is_cyclic,
     is_p_group,
     is_simple,

@@ -229,7 +229,7 @@ class CosetTable:
                 if best is None or img < best:
                     best, best_delta = img, delta
             if best_delta is not None and best_delta != point:
-                rep = _compose_t(trans[best_delta].images, rep)
+                rep = _compose_t(trans[best_delta], rep)
         return rep
 
     def coset_of(self, g: tuple[int, ...]) -> int:

@@ -181,6 +181,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     check_names = [c.strip() for c in args.check.split(",") if c.strip()]
+    if not check_names:
+        print("error: no checks given", file=sys.stderr)
+        return EXIT_USAGE
     unknown = [c for c in check_names if c not in CHECKS]
     if unknown:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
@@ -285,7 +288,11 @@ def cmd_group(args: argparse.Namespace) -> int:
         if not is_transitive(group):
             print("blocks: group is intransitive")
             return EXIT_USAGE
-        primitive, witness = is_primitive(group)
+        try:
+            primitive, witness = is_primitive(group)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         if primitive:
             print("blocks: primitive (no nontrivial block system)")
         else:

@@ -7,16 +7,17 @@ explored breadth-first in generator order.  Two builds from the same
 generator sequence therefore produce identical bases and transversals,
 which is what makes downstream certificates replayable.
 
-Transversal convention: ``transversals[i][beta]`` is a permutation ``t``
-with ``t(base[i]) == beta``.  Products read left to right (``compose(p, q)``
-applies ``p`` first).
+Transversal convention: ``transversals[i][beta]`` is a kernel element
+``t`` with ``t[base[i]] == beta``.  Products read left to right
+(``compose(p, q)`` applies ``p`` first).
 
 The chain is built and searched on raw elements of the permutation kernel
 (:func:`edgeprim.perms._kernel`): ``bytes`` composed by ``bytes.translate``
-up to degree 255, image tuples past it.  Only the frozen :class:`Group`
-wraps its generators and transversals as :class:`Permutation` objects,
-without re-validating them; it keeps each representative's inverse table so
-that :meth:`Group.contains` sifts without inverting anything.
+up to degree 255, image tuples past it.  The frozen :class:`Group` keeps
+the chain's transversal elements as they are and wraps only its generators
+and strong generators as :class:`Permutation` objects, without
+re-validating them; it keeps each representative's inverse table so that
+:meth:`Group.contains` sifts without inverting anything.
 
 Known-order stop.  A chain may be given the order of a group that contains
 every generator added to it, and it stops as soon as the product of its
@@ -223,11 +224,8 @@ class _Chain:
             generators=tuple(generators) or strong,
             base=tuple(self.points[k:]),
             strong_generators=strong,
-            transversals=tuple(
-                {b: wrap(t) for b, t in trans.items()}
-                for trans in self.transversals[k:]
-            ),
             # Copied: a chain may grow after it is frozen.
+            transversals=tuple(map(dict, self.transversals[k:])),
             _inverse_tables=tuple(map(dict, self.inverses[k:])),
         )
 
@@ -243,7 +241,8 @@ class Group:
     generators: tuple[Permutation, ...]
     base: tuple[int, ...]
     strong_generators: tuple[Permutation, ...]
-    transversals: tuple[dict[int, Permutation], ...]
+    # Per level, the kernel element of each coset representative.
+    transversals: tuple[dict[int, object], ...]
     # Per level, the kernel inverse table of each transversal element.
     _inverse_tables: tuple[dict[int, object], ...] = field(repr=False, compare=False)
 
@@ -339,9 +338,7 @@ class Group:
         strong = tuple(map(wrap, strong)) or (wrap(k.identity),)
         transversals, inverses = [], []
         for trans, inv in zip(self.transversals[j:], self._inverse_tables[j:]):
-            transversals.append(
-                {g[b]: wrap(conj(k.table(k.element(t.images)))) for b, t in trans.items()}
-            )
+            transversals.append({g[b]: conj(k.table(t)) for b, t in trans.items()})
             inverses.append({g[b]: k.table(conj(t_inv)) for b, t_inv in inv.items()})
         return Group(
             degree=self.degree,

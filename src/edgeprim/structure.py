@@ -19,9 +19,6 @@ degree-50 group in the seconds range.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator
 
@@ -33,10 +30,10 @@ from .groups import (
     _Chain,
     _conjugators,
     build_group,
-    derived_subgroup,
     is_abelian,
     is_subgroup,
     normal_closure,
+    perfect_core,
     same_subgroup,
     trivial_group,
 )
@@ -55,9 +52,7 @@ def _iter_elements_bytes(group: Group) -> Iterator:
     image tuples past it), deterministic order."""
     k = _kernel(group.degree)
     mul, table = k.mul, k.table
-    levels = [
-        [k.element(t.images) for t in trans.values()] for trans in group.transversals
-    ] or [[k.identity]]
+    levels = [list(trans.values()) for trans in group.transversals] or [[k.identity]]
     last = len(levels) - 1
 
     def rec(i: int, acc) -> Iterator:
@@ -186,10 +181,6 @@ def _transitive_centralizer(group: Group, sub: Group) -> Group:
     return build_group(kept) if kept else trivial_group(group.degree)
 
 
-def center(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> Group:
-    return centralizer(group, group, cutoff)
-
-
 def conjugacy_classes(
     group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF
 ) -> list[tuple[Permutation, int]]:
@@ -281,7 +272,7 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
     b = group.base[level]
     # to[x] is t_x as a table, back[x] its inverse; home[y] is u_y and the
     # inverse table of u_y, for every y in D - {b}.
-    to = {x: table(k.element(t.images)) for x, t in group.transversals[level].items()}
+    to = {x: table(t) for x, t in group.transversals[level].items()}
     back = group._inverse_tables[level]
     stab = group.pointwise_stabilizer(group.base[: level + 1])
     stab_strong = [k.element(g.images) for g in stab.strong_generators]
@@ -463,13 +454,7 @@ def is_p_group(group: Group) -> tuple[bool, int | None]:
 
 
 def is_soluble(group: Group) -> bool:
-    current = group
-    while current.order > 1:
-        nxt = derived_subgroup(current)
-        if nxt.order == current.order:
-            return False
-        current = nxt
-    return True
+    return perfect_core(group).order == 1
 
 
 def is_cyclic(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
@@ -482,46 +467,3 @@ def is_cyclic(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
         if Permutation._trusted(images).order() == order:
             return True
     return False
-
-
-@dataclass(frozen=True)
-class GroupFingerprint:
-    """Cheap isomorphism invariants; equality is necessary, not sufficient,
-    for isomorphism.  Enumeration-priced fields are None past the cutoff."""
-
-    order: int
-    is_abelian: bool
-    derived_series_orders: tuple[int, ...]
-    element_order_histogram: tuple[tuple[int, int], ...] | None
-    center_order: int | None
-    exponent: int | None
-
-
-def fingerprint(
-    group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF
-) -> GroupFingerprint:
-    series = [group.order]
-    current = group
-    while series[-1] > 1:
-        current = derived_subgroup(current)
-        series.append(current.order)
-        if series[-1] == series[-2]:
-            break
-    histogram = None
-    center_order = None
-    exponent = None
-    if group.order <= cutoff:
-        counts: Counter[int] = Counter()
-        for images in iter_element_images(group):
-            counts[Permutation._trusted(images).order()] += 1
-        histogram = tuple(sorted(counts.items()))
-        exponent = math.lcm(*counts.keys())
-        center_order = center(group, cutoff).order
-    return GroupFingerprint(
-        order=group.order,
-        is_abelian=is_abelian(group),
-        derived_series_orders=tuple(series),
-        element_order_histogram=histogram,
-        center_order=center_order,
-        exponent=exponent,
-    )

@@ -14,6 +14,15 @@ def compose_t(p, q):
     return tuple(q[x] for x in p)
 
 
+def element_order(p) -> int:
+    """The order of an image tuple, by repeated composition."""
+    ident = tuple(range(len(p)))
+    q, m = p, 1
+    while q != ident:
+        q, m = compose_t(q, p), m + 1
+    return m
+
+
 def brute_closure(gens: list[tuple[int, ...]], limit: int = 10**6) -> set[tuple[int, ...]]:
     """All products of the generators, by BFS multiplication."""
     n = len(gens[0])
@@ -92,9 +101,9 @@ def assert_valid_chain(group, points) -> None:
     ):
         assert b in trans and set(trans) == set(inverses)
         for beta, t in trans.items():
-            assert t.images[b] == beta
-            assert all(t.images[x] == x for x in group.base[:i] + tuple(points))
-            assert [inverses[beta][t.images[x]] for x in range(n)] == list(range(n))
+            assert t[b] == beta
+            assert all(t[x] == x for x in group.base[:i] + tuple(points))
+            assert [inverses[beta][t[x]] for x in range(n)] == list(range(n))
     for s in group.strong_generators:
         assert all(s.images[x] == x for x in points)
 

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import pytest
 
-from brute import brute_edge_action
+from brute import brute_closure, brute_edge_action, compose_t, element_order
 from edgeprim import (
     Analysis,
     RunConfig,
@@ -23,6 +24,7 @@ from edgeprim import (
     local_structure,
     main_theorem_check,
     normal_subgroups,
+    Permutation,
     petersen,
     pgl2,
     prime_valency_check,
@@ -33,7 +35,7 @@ from edgeprim import (
     sylow_arc_check,
     three_arc_criterion,
 )
-from edgeprim.certify import FAIL, NOT_APPLICABLE, PASS
+from edgeprim.certify import FAIL, NOT_APPLICABLE, PASS, _is_sym6
 
 
 def s5():
@@ -377,20 +379,106 @@ def test_three_arc_k5_sides_agree_negatively():
     assert not cert.evidence["right_side"]
 
 
-def test_three_arc_reference_fingerprints_follow_the_cutoff(hs_core, hs_graph):
-    # At a cutoff below the vertex-stabilizer order (2520) the alternating-7
-    # witness must still hold: it rests on the core's order, not on an
-    # enumeration-priced fingerprint.  The symmetric-6 reference must be
-    # computed at the same cutoff as the edge stabilizer, or the comparison
-    # could spuriously mismatch and unsoundly report "not isomorphic".
-    cert = three_arc_criterion(
-        Analysis(hs_core, hs_graph, config=RunConfig(enumeration_cutoff=1000))
-    )
-    assert cert.verdict == PASS
-    assert cert.evidence["vertex_core_matches_alt7"] is True
-    # The 720-order edge stabilizer is still under this cutoff, so the
-    # symmetric-6 distinction stays histogram-backed and sound.
-    assert cert.evidence["edge_stabilizer_differs_from_sym6"] is True
+def test_three_arc_hs_core_evidence_is_the_same_at_both_cutoffs(hs_core, hs_graph):
+    # The cutoff no longer enters three-arc: the alternating-7 witness rests
+    # on the core's order, and the symmetric-6 decision on an exhaustive
+    # search in a group of order 720, below the smallest allowed cutoff.
+    certs = [
+        three_arc_criterion(
+            Analysis(hs_core, hs_graph, config=RunConfig(enumeration_cutoff=cutoff))
+        )
+        for cutoff in (1000, 10**6)
+    ]
+    assert certs[0].evidence == certs[1].evidence
+    assert certs[0].verdict == certs[1].verdict == PASS
+    assert certs[0].evidence["vertex_core_matches_alt7"] is True
+    assert certs[0].evidence["edge_stabilizer_differs_from_sym6"] is True
+
+
+def _sym6_on_two_subsets():
+    pairs = list(itertools.combinations(range(6), 2))
+    index = {frozenset(p): i for i, p in enumerate(pairs)}
+
+    def on_pairs(images):
+        return Permutation([index[frozenset(images[x] for x in p)] for p in pairs])
+
+    group = build_group([on_pairs((1, 0, 2, 3, 4, 5)), on_pairs((1, 2, 3, 4, 5, 0))])
+    stars = [frozenset(i for i, p in enumerate(pairs) if x in p) for x in range(6)]
+    return group, stars
+
+
+def _a8_edge_stabilizer():
+    a8 = build_group([from_cycles(8, [(0, 1, 2)]), from_cycles(8, [(1, 2, 3, 4, 5, 6, 7)])])
+    return a8.setwise_stabilizer((0, 1)), [frozenset({x}) for x in range(2, 8)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (
+            build_group([from_cycles(6, [(0, 1)]), from_cycles(6, [(0, 1, 2, 3, 4, 5)])]),
+            [frozenset({x}) for x in range(6)],
+        ),
+        _sym6_on_two_subsets,
+        _a8_edge_stabilizer,
+    ],
+    ids=["S6", "S6 on 2-subsets", "A8 edge stabilizer"],
+)
+def test_is_sym6_finds_sym6(make):
+    # Independent reason: the group permutes six cells, and brute-force
+    # closure shows the induced image on them is faithful of order 720,
+    # so it is all of Sym(6).
+    group, cells = make()
+    closure = brute_closure([g.images for g in group.generators])
+    images = set()
+    for element in closure:
+        moved = [frozenset(element[x] for x in cell) for cell in cells]
+        images.add(tuple(cells.index(cell) for cell in moved))
+    assert group.order == len(closure) == len(images) == 720
+    assert _is_sym6(group)
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda: pgl2(9), "element of order 8"),
+        (
+            lambda: build_group(
+                [
+                    from_cycles(8, [(0, 1, 2)]),
+                    from_cycles(8, [(1, 2, 3, 4, 5)]),
+                    from_cycles(8, [(6, 7)]),
+                ]
+            ),
+            "central involution",
+        ),
+        (
+            lambda: build_group(
+                [from_cycles(30, [tuple(range(16)), tuple(range(16, 25)), tuple(range(25, 30))])]
+            ),
+            "abelian",
+        ),
+    ],
+    ids=["PGL(2,9)", "A6 x C2", "C720"],
+)
+def test_is_sym6_rejects_other_groups_of_order_720(make, reason):
+    # Independent reason, by brute-force closure: S6 has no element of
+    # order 8, a trivial centre, and is nonabelian.
+    group = make()
+    gens = [g.images for g in group.generators]
+    closure = brute_closure(gens)
+    found = {
+        "element of order 8": any(element_order(e) == 8 for e in closure),
+        "central involution": any(
+            element_order(e) == 2
+            and all(compose_t(e, g) == compose_t(g, e) for g in gens)
+            for e in closure
+        ),
+        "abelian": all(compose_t(a, b) == compose_t(b, a) for a in gens for b in gens),
+    }
+    assert group.order == len(closure) == 720
+    assert found[reason]
+    assert not _is_sym6(group)
 
 
 # -- affine -------------------------------------------------------------------

@@ -305,3 +305,63 @@ def test_analyze_rejects_an_unknown_check_before_reading_or_searching(
         "known checks: almost-simple, edge-primitive, local-structure, main-theorem, "
         "prime-valency, s-degree, three-arc\n"
     )
+
+
+@pytest.mark.parametrize(
+    "group_lines, exit_code, verdict, evidence",
+    [
+        # S8 from the automorphism search: edge stabilizer S6 x S2.
+        (None, 1, "fail", {"right_side": True, "order_edge_stabilizer": 1440}),
+        # A8 = <(0 1 2), (1 2 3 4 5 6 7)>: edge stabilizer (S6 x S2) meet A8,
+        # which is isomorphic to S6, so the right side is false like the left.
+        (
+            "group\ndegree 8\ng 1 2 0 3 4 5 6 7\ng 0 2 3 4 5 6 7 1\n",
+            0,
+            "pass",
+            {
+                "edge_stabilizer_differs_from_sym6": False,
+                "right_side": False,
+                "order_edge_stabilizer": 720,
+            },
+        ),
+    ],
+    ids=["S8", "A8"],
+)
+def test_three_arc_on_k8(group_lines, exit_code, verdict, evidence, tmp_path, capsys):
+    graph = tmp_path / "k8.graph"
+    assert run(["construct", "--family", "complete:8", "--out", str(graph)]) == 0
+    argv = ["analyze", "--graph", str(graph), "--check", "three-arc", "--json"]
+    if group_lines is not None:
+        group = tmp_path / "a8.group"
+        group.write_text(group_lines)
+        argv += ["--group", str(group)]
+    capsys.readouterr()
+    assert run(argv) == exit_code
+    [cert] = json.loads(capsys.readouterr().out)
+    assert cert["verdict"] == verdict
+    assert {k: cert["evidence"][k] for k in evidence} == evidence
+    assert cert["evidence"]["s_degree"] == 2
+    assert cert["evidence"]["three_arc_transitive"] is False
+
+
+def test_analyze_rejects_an_empty_check_list_before_reading(tmp_path, capsys, monkeypatch):
+    from edgeprim import cli
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("called before the check names were validated")
+
+    monkeypatch.setattr(cli, "automorphism_group", refuse)
+    monkeypatch.setattr(cli.fileio, "read_graph", refuse)
+    for checks in (",", "", " , "):
+        assert run(["analyze", "--graph", str(tmp_path / "k4.graph"), "--check", checks]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no checks given\n" and captured.out == ""
+
+
+def test_group_blocks_on_a_single_point_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "one.group"
+    path.write_text("group\ndegree 1\ng 0\n")
+    assert run(["group", "--group", str(path), "--blocks"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "degree: 1\norder: 1\nbase: []\n"
+    assert captured.err == "error: domain must have at least 2 points\n"

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from brute import brute_closure, element_order
 from edgeprim import (
     CosetTable,
     Permutation,
@@ -133,19 +134,23 @@ def test_mathieu_degree_11_chain():
     assert m11.point_stabilizer(0).order == 720
 
 
-def test_hs_edge_stabilizer_fingerprint_matches_mathieu_stabilizer(hs_core, hs_graph):
+def test_hs_edge_stabilizer_is_not_sym6_like_the_mathieu_stabilizer(hs_core, hs_graph):
     # Independent corroboration of the edge-stabilizer identification: the
-    # point stabilizer of the degree-11 Mathieu group is the sharply
-    # 3-transitive group of order 720, and its fingerprint coincides with
-    # the edge stabilizer of the Hoffman-Singleton core.
-    from edgeprim import fingerprint
+    # point stabilizer M10 of the degree-11 Mathieu group and the edge
+    # stabilizer of the Hoffman-Singleton core both have order 720 and an
+    # element of order 8, which S6 has not, and neither is found to be S6.
+    from edgeprim.certify import _is_sym6
 
     a = from_cycles(11, [tuple(range(11))])
     b = from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])
     m10 = build_group([a, b]).point_stabilizer(0)
     u, v = hs_graph.edges[0]
     edge_stab = hs_core.setwise_stabilizer((u, v))
-    assert fingerprint(m10) == fingerprint(edge_stab)
+    for group in (m10, edge_stab):
+        closure = brute_closure([g.images for g in group.generators])
+        assert group.order == len(closure) == 720
+        assert any(element_order(e) == 8 for e in closure)
+        assert not _is_sym6(group)
 
 
 def test_large_degree_group_elements():

@@ -8,7 +8,6 @@ from edgeprim import (
     complete_bipartite,
     complete_graph,
     derived_subgroup,
-    fingerprint,
     from_cycles,
     heawood,
     identity,
@@ -62,18 +61,6 @@ def test_chain_levels_fix_earlier_base_points():
             for gen in stab.generators:
                 for earlier in g.base[: i + 1]:
                     assert gen(earlier) == earlier
-
-
-def test_fingerprint_invariants():
-    for g in sample_groups():
-        fp = fingerprint(g)
-        assert fp.derived_series_orders[0] == fp.order
-        series = fp.derived_series_orders
-        for a, b in zip(series, series[1:]):
-            assert b <= a
-        for a, b in zip(series, series[1:-1]):
-            assert b < a or b == series[-1]
-        assert sum(c for _o, c in fp.element_order_histogram) == fp.order
 
 
 def test_perfect_core_is_perfect():
