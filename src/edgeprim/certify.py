@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import families, fileio
 from .perms import Permutation, _compose_t
 from .groups import (
     DEFAULT_ENUMERATION_CUTOFF,
@@ -54,6 +55,7 @@ from .graphs import (
     Graph,
     LocalAction,
     arc_kernel,
+    automorphism_group,
     check_preserves_edges,
     first_s_arc,
     is_complete,
@@ -111,7 +113,9 @@ class Certificate:
 
 class Analysis:
     """A group acting on a graph (or only on its points, when ``graph`` is
-    None) under one run configuration.
+    None) under one run configuration.  A group that does not act on the
+    graph by automorphisms is rejected here, with ``ValueError``, for every
+    check.
 
     Every fact the checks share is computed on first use and then kept: the
     first edge with its setwise and pointwise stabilizers, the local action
@@ -128,6 +132,8 @@ class Analysis:
         inputs: dict | None = None,
         config: RunConfig = DEFAULT_CONFIG,
     ) -> None:
+        if graph is not None:
+            check_preserves_edges(graph, group)
         self.group = group
         self.graph = graph
         self.inputs = dict(inputs or {})
@@ -226,7 +232,6 @@ def is_edge_primitive(analysis: Analysis) -> Certificate:
     generators of the group and of the edge stabilizer."""
     name = "edge-primitive"
     group, graph = analysis.group, analysis.graph
-    check_preserves_edges(graph, group)
     if graph.num_edges == 0:
         raise ValueError("graph has no edges")
     evidence: dict = {"edge_count": graph.num_edges, "group_order": group.order}
@@ -281,7 +286,6 @@ def s_transitivity_degree(analysis: Analysis) -> Certificate:
     """
     name = "s-degree"
     group, graph, config = analysis.group, analysis.graph, analysis.config
-    check_preserves_edges(graph, group)
     evidence: dict = {"group_order": group.order}
     d = valency(graph)
     if not is_connected(graph):
@@ -336,7 +340,6 @@ def local_structure(analysis: Analysis) -> Certificate:
     """
     name = "local-structure"
     group, graph = analysis.group, analysis.graph
-    check_preserves_edges(graph, group)
     if graph.num_edges == 0:
         raise ValueError("graph has no edges")
     transitive = analysis.vertex_transitive
@@ -397,7 +400,7 @@ def almost_simple_certificate(analysis: Analysis) -> Certificate:
     group, cutoff = analysis.group, analysis.config.enumeration_cutoff
     evidence: dict = {"group_order": group.order}
     reduced = reduce_generators(group)
-    core = reduce_generators(perfect_core(reduced))
+    core = perfect_core(reduced)
     evidence["core_order"] = core.order
     if core.order == 1:
         evidence["core_simple"] = False
@@ -774,83 +777,50 @@ class SuiteRow:
     certificate: Certificate
 
 
-def _graph_fixture_builders() -> dict:
-    from .families import (
-        complete_bipartite,
-        complete_graph,
-        heawood,
-        hoffman_singleton,
-        pgl2,
-        psl2,
-    )
-
-    return {
-        "k5": (lambda: complete_graph(5), None),
-        "k33": (lambda: complete_bipartite(3), None),
-        "k8-pgl2-7": (lambda: complete_graph(8), lambda: pgl2(7)),
-        "k14-psl2-13": (lambda: complete_graph(14), lambda: psl2(13)),
-        "heawood": (heawood, None),
-        "hs": (hoffman_singleton, None),
-    }
-
-
-def _affine_fixture_builders() -> dict:
-    from .families import agl1, agammal1
-
-    return {
-        "agl1-5": lambda: agl1(5),
-        "agl1-9": lambda: agl1(9),
-        "agammal1-8": lambda: agammal1(8),
-    }
-
 SUITE_NAMES = ("counting", "selfnorm", "sylow", "weiss", "affine")
 
 
-def _ensure_graph_fixture(name: str, config: RunConfig) -> tuple[Graph, Group, dict]:
-    """Load or materialize the canonical fixture files, returning the graph,
-    the acting group, and an inputs descriptor with content hashes."""
-    from . import fileio
-    from .graphs import automorphism_group
+# Fixture name -> (graph builder, or None for a group-only fixture; group
+# builder, or None for the graph's full automorphism group).
+_FIXTURES = {
+    "k5": (lambda: families.complete_graph(5), None),
+    "k33": (lambda: families.complete_bipartite(3), None),
+    "k8-pgl2-7": (lambda: families.complete_graph(8), lambda: families.pgl2(7)),
+    "k14-psl2-13": (lambda: families.complete_graph(14), lambda: families.psl2(13)),
+    "heawood": (families.heawood, None),
+    "hs": (families.hoffman_singleton, None),
+    "agl1-5": (None, lambda: families.agl1(5)),
+    "agl1-9": (None, lambda: families.agl1(9)),
+    "agammal1-8": (None, lambda: families.agammal1(8)),
+}
 
+
+def _load_fixture(name: str, make_graph, make_group, config: RunConfig) -> tuple:
+    """Load or materialize a fixture's files, returning the graph (None for
+    a group-only fixture), the acting group, and an inputs descriptor with
+    content hashes."""
     config.fixture_dir.mkdir(parents=True, exist_ok=True)
-    graph_path = config.fixture_dir / f"{name}.graph"
-    group_path = config.fixture_dir / f"{name}.group"
-    builders = _graph_fixture_builders()
-    graph_builder, group_builder = builders[name]
-    if graph_path.exists():
-        graph = fileio.read_graph(graph_path)
-    else:
-        graph = graph_builder()
-        fileio.write_graph(graph, graph_path)
-    if group_path.exists():
-        group = fileio.read_group(group_path)
-    else:
-        group = group_builder() if group_builder else automorphism_group(graph)
-        fileio.write_group(group, group_path)
-    inputs = {
-        "graph_file": graph_path.name,
-        "graph_sha256": fileio.sha256_of_file(graph_path),
-        "group_file": group_path.name,
-        "group_sha256": fileio.sha256_of_file(group_path),
-    }
+    inputs: dict = {}
+
+    def load(kind: str, read, write, build):
+        path = config.fixture_dir / f"{name}.{kind}"
+        if path.exists():
+            obj = read(path)
+        else:
+            obj = build()
+            write(obj, path)
+        inputs[f"{kind}_file"] = path.name
+        inputs[f"{kind}_sha256"] = fileio.sha256_of_file(path)
+        return obj
+
+    graph = None
+    if make_graph is not None:
+        graph = load("graph", fileio.read_graph, fileio.write_graph, make_graph)
+    group = load(
+        "group", fileio.read_group, fileio.write_group,
+        make_group or (lambda: automorphism_group(graph)),
+    )
     return graph, group, inputs
-
-
-def _ensure_affine_fixture(name: str, config: RunConfig) -> tuple[Group, dict]:
-    from . import fileio
-
-    config.fixture_dir.mkdir(parents=True, exist_ok=True)
-    group_path = config.fixture_dir / f"{name}.group"
-    if group_path.exists():
-        group = fileio.read_group(group_path)
-    else:
-        group = _affine_fixture_builders()[name]()
-        fileio.write_group(group, group_path)
-    inputs = {
-        "group_file": group_path.name,
-        "group_sha256": fileio.sha256_of_file(group_path),
-    }
-    return group, inputs
 
 
 def _harvest_normal_subgroups(group: Group) -> list[Group]:
@@ -873,33 +843,27 @@ def run_lemma_suite(
     for s in wanted:
         if s not in SUITE_NAMES:
             raise ValueError(f"unknown suite {s!r}; choose from {SUITE_NAMES}")
+    # Built per call, not at import, so that a check rebound on this module
+    # (a test's patch, a tracer) is the one the suite calls.
+    pair_checks = {
+        "counting": counting_identity_check,
+        "selfnorm": selfnorm_check,
+        "sylow": sylow_arc_check,
+        "affine": affine_normal_check,
+    }
     rows: list[SuiteRow] = []
-    pair_suites = [s for s in wanted if s in ("counting", "selfnorm", "sylow")]
-    if pair_suites or "weiss" in wanted:
-        for name in _graph_fixture_builders():
-            graph, group, inputs = _ensure_graph_fixture(name, config)
-            analysis = Analysis(group, graph, inputs, config)
-            if "weiss" in wanted:
-                cert = s_transitivity_degree(analysis)
-                rows.append(SuiteRow(name, "weiss", "G", cert))
-            if pair_suites:
-                for normal in _harvest_normal_subgroups(group):
-                    subject = f"N(order={normal.order})"
-                    if "counting" in wanted:
-                        cert = counting_identity_check(analysis, normal)
-                        rows.append(SuiteRow(name, "counting", subject, cert))
-                    if "selfnorm" in wanted:
-                        cert = selfnorm_check(analysis, normal)
-                        rows.append(SuiteRow(name, "selfnorm", subject, cert))
-                    if "sylow" in wanted:
-                        cert = sylow_arc_check(analysis, normal)
-                        rows.append(SuiteRow(name, "sylow", subject, cert))
-    if "affine" in wanted:
-        for name in _affine_fixture_builders():
-            group, inputs = _ensure_affine_fixture(name, config)
-            analysis = Analysis(group, None, inputs, config)
-            for normal in _harvest_normal_subgroups(group):
-                subject = f"N(order={normal.order})"
-                cert = affine_normal_check(analysis, normal)
-                rows.append(SuiteRow(name, "affine", subject, cert))
+    for name, (make_graph, make_group) in _FIXTURES.items():
+        kinds = ("counting", "selfnorm", "sylow") if make_graph else ("affine",)
+        pairs = [s for s in kinds if s in wanted]
+        weiss = make_graph is not None and "weiss" in wanted
+        if not (pairs or weiss):
+            continue
+        graph, group, inputs = _load_fixture(name, make_graph, make_group, config)
+        analysis = Analysis(group, graph, inputs, config)
+        if weiss:
+            rows.append(SuiteRow(name, "weiss", "G", s_transitivity_degree(analysis)))
+        for normal in _harvest_normal_subgroups(group) if pairs else ():
+            subject = f"N(order={normal.order})"
+            for s in pairs:
+                rows.append(SuiteRow(name, s, subject, pair_checks[s](analysis, normal)))
     return rows

@@ -5,8 +5,11 @@ graph-level checks and emit certificates), ``lemmas`` (run the lemma suite
 over the fixture manifest), ``group`` (order/orbits/blocks utility).
 
 Exit codes: 0 success (pass or not-applicable verdicts only), 1 check
-failure, 2 usage or parse error, 3 scale limit.  JSON output is
-byte-identical across runs with the same configuration.
+failure, 2 usage error, 3 scale limit.  Usage errors are bad options,
+unreadable, malformed or non-ASCII files, unwritable outputs, and a group
+that does not act on the graph by automorphisms, which every check rejects.
+:func:`main` maps exceptions to exit codes for every command.  JSON output
+is byte-identical across runs with the same configuration.
 """
 
 from __future__ import annotations
@@ -116,12 +119,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"unknown family {args.family!r}", file=sys.stderr)
         print(_family_registry_text(), file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, fileio.FileFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScaleLimitError as exc:
-        print(f"scale limit: {exc}", file=sys.stderr)
-        return EXIT_SCALE_LIMIT
     out = Path(args.out)
     fileio.write_graph(graph, out)
     print(f"wrote {out} (n={graph.n}, edges={graph.num_edges})")
@@ -175,11 +172,7 @@ def _verdict_exit(verdicts: list[str]) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = _config_from_args(args)
     check_names = [c.strip() for c in args.check.split(",") if c.strip()]
     if not check_names:
         print("error: no checks given", file=sys.stderr)
@@ -189,62 +182,28 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
         print("known checks: " + ", ".join(sorted(CHECKS)), file=sys.stderr)
         return EXIT_USAGE
-    try:
-        graph = fileio.read_graph(args.graph)
-    except (OSError, fileio.FileFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScaleLimitError as exc:
-        print(f"scale limit: {exc}", file=sys.stderr)
-        return EXIT_SCALE_LIMIT
+    graph = fileio.read_graph(args.graph)
     inputs = {
         "graph_file": Path(args.graph).name,
         "graph_sha256": fileio.sha256_of_file(args.graph),
     }
     if args.group:
-        try:
-            group = fileio.read_group(args.group)
-        except (OSError, fileio.FileFormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        group = fileio.read_group(args.group)
         inputs["group_file"] = Path(args.group).name
         inputs["group_sha256"] = fileio.sha256_of_file(args.group)
     else:
-        try:
-            group = automorphism_group(graph)
-        except ScaleLimitError as exc:
-            print(f"scale limit: {exc}", file=sys.stderr)
-            return EXIT_SCALE_LIMIT
+        group = automorphism_group(graph)
         inputs["group_file"] = None
         inputs["group_source"] = "automorphism-group"
     analysis = Analysis(group, graph, inputs, config)
-    try:
-        certs = [CHECKS[name](analysis) for name in check_names]
-    except ScaleLimitError as exc:
-        print(f"scale limit: {exc}", file=sys.stderr)
-        return EXIT_SCALE_LIMIT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    certs = [CHECKS[name](analysis) for name in check_names]
     _emit_certificates(certs, args)
     return _verdict_exit([c.verdict for c in certs])
 
 
 def cmd_lemmas(args: argparse.Namespace) -> int:
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     suites = None if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
-    try:
-        rows = run_lemma_suite(suites, config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScaleLimitError as exc:
-        print(f"scale limit: {exc}", file=sys.stderr)
-        return EXIT_SCALE_LIMIT
+    rows = run_lemma_suite(suites, _config_from_args(args))
     if args.json:
         import json as _json
 
@@ -273,11 +232,7 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
 
 
 def cmd_group(args: argparse.Namespace) -> int:
-    try:
-        group = fileio.read_group(args.group)
-    except (OSError, fileio.FileFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    group = fileio.read_group(args.group)
     print(f"degree: {group.degree}")
     print(f"order: {group.order}")
     print(f"base: {list(group.base)}")
@@ -288,11 +243,7 @@ def cmd_group(args: argparse.Namespace) -> int:
         if not is_transitive(group):
             print("blocks: group is intransitive")
             return EXIT_USAGE
-        try:
-            primitive, witness = is_primitive(group)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        primitive, witness = is_primitive(group)
         if primitive:
             print("blocks: primitive (no nontrivial block system)")
         else:
@@ -349,7 +300,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    # The one place an exception becomes an exit code, for every command.
+    try:
+        return args.func(args)
+    except ScaleLimitError as exc:
+        print(f"scale limit: {exc}", file=sys.stderr)
+        return EXIT_SCALE_LIMIT
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -553,13 +553,15 @@ def derived_subgroup(group: Group) -> Group:
 
 
 def perfect_core(group: Group) -> Group:
-    """Limit of the derived series: the largest perfect subgroup in it."""
+    """Limit of the derived series: the largest perfect subgroup in it.
+    Each step is re-built on few generators, as a derived subgroup keeps
+    every commutator and conjugate it was closed from."""
     current = group
     while True:
         nxt = derived_subgroup(current)
         if nxt.order == current.order:
             return current
-        current = nxt
+        current = reduce_generators(nxt)
 
 
 def is_abelian(group: Group) -> bool:

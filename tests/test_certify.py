@@ -541,6 +541,24 @@ def test_analysis_computes_each_shared_fact_once(monkeypatch):
     assert len(image_calls) == 1
 
 
+def test_analysis_checks_the_group_against_the_graph_once(monkeypatch):
+    from edgeprim import certify
+    from edgeprim.cli import CHECKS
+
+    a5_on_five = build_group([from_cycles(10, [(0, 1, 2)]), from_cycles(10, [(0, 1, 2, 3, 4)])])
+    with pytest.raises(ValueError, match="not a graph automorphism"):
+        Analysis(a5_on_five, petersen())
+    with pytest.raises(ValueError, match="group degree must equal the vertex count"):
+        Analysis(a5(), petersen())
+    assert Analysis(a5_on_five).graph is None
+
+    calls = _count_calls(monkeypatch, certify, "check_preserves_edges")
+    analysis = Analysis(pgl2(7), complete_graph(8))
+    for check in CHECKS.values():
+        check(analysis)
+    assert calls == ["check_preserves_edges"]
+
+
 def test_lemma_suite_decides_edge_primitivity_once_per_fixture(monkeypatch, tmp_path):
     from edgeprim import certify
 

@@ -1,12 +1,14 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from edgeprim import build_graph, build_group, from_cycles
+from edgeprim.certify import SUITE_NAMES
 from edgeprim.cli import main
 from edgeprim.fileio import read_graph, read_group, write_graph, write_group
-from edgeprim.families import complete_graph, petersen
+from edgeprim.families import complete_bipartite, complete_graph, petersen
 
 
 def run(argv):
@@ -365,3 +367,65 @@ def test_group_blocks_on_a_single_point_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "degree: 1\norder: 1\nbase: []\n"
     assert captured.err == "error: domain must have at least 2 points\n"
+
+
+def _usage_error(argv, capsys):
+    """Run argv, expect exit 2 and exactly one stderr line, an `error: ` one."""
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_io_and_encoding_errors_are_usage_errors(tmp_path, capsys):
+    write_graph(petersen(), tmp_path / "pet.graph")
+    (tmp_path / "file").write_text("not a directory\n")
+    below_file = str(tmp_path / "file" / "sub")
+    non_ascii = tmp_path / "latin1.graph"
+    non_ascii.write_bytes("graph\nn 2\n# é\n".encode("latin-1"))
+    for argv in (
+        ["construct", "--family", f"coset:{tmp_path / 'missing.json'}",
+         "--out", str(tmp_path / "x.graph")],
+        ["construct", "--family", "petersen", "--out", str(tmp_path / "missing" / "x.graph")],
+        ["analyze", "--graph", str(tmp_path / "pet.graph"), "--check", "s-degree",
+         "--out", below_file],
+        ["lemmas", "--suite", "weiss", "--fixture-dir", below_file],
+    ):
+        assert "[Errno" in _usage_error(argv, capsys)
+    _usage_error(["analyze", "--graph", str(non_ascii), "--check", "s-degree"], capsys)
+    _usage_error(["group", "--group", str(non_ascii)], capsys)
+
+
+A5_ON_FIVE_OF_TEN = "group\ndegree 10\ng 1 2 0 3 4 5 6 7 8 9\ng 1 2 3 4 0 5 6 7 8 9\n"
+
+
+@pytest.mark.parametrize(
+    "graph, group_lines, check, message",
+    [
+        (petersen(), A5_ON_FIVE_OF_TEN, "almost-simple",
+         "a generator of the group is not a graph automorphism"),
+        (complete_bipartite(4), "group\ndegree 8\ng 4 1 2 3 0 5 6 7\n", "prime-valency",
+         "a generator of the group is not a graph automorphism"),
+        (complete_graph(4), "group\ndegree 5\ng 1 2 3 4 0\n", "almost-simple",
+         "group degree must equal the vertex count"),
+    ],
+    ids=["Petersen A5", "K44 transposition", "degree 5 on K4"],
+)
+def test_every_check_rejects_a_group_that_does_not_act_on_the_graph(
+    graph, group_lines, check, message, tmp_path, capsys
+):
+    write_graph(graph, tmp_path / "x.graph")
+    (tmp_path / "x.group").write_text(group_lines)
+    argv = ["analyze", "--graph", str(tmp_path / "x.graph"), "--group",
+            str(tmp_path / "x.group"), "--check", check]
+    assert _usage_error(argv, capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_each_suite_alone_gives_its_rows_of_the_full_run(suite, tmp_path, capsys):
+    golden = json.loads((Path(__file__).parent / "golden" / "lemmas-all.json").read_text())
+    argv = ["lemmas", "--suite", suite, "--json", "--fixture-dir", str(tmp_path / "fx")]
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out) == [r for r in golden if r["check"] == suite]

@@ -13,6 +13,7 @@ from edgeprim import (
     is_normal,
     normal_closure,
     perfect_core,
+    pgl2,
     reduce_generators,
     trivial_group,
 )
@@ -340,3 +341,34 @@ def test_bounded_pointwise_stabilizer_sifts_less(monkeypatch):
     assert 0 < len(sifted) < rebuild_sifts
     assert stab.order == g.order // (8 * 7) == unbounded.size // (8 * 7)
     assert stab.base == tuple(unbounded.points[2:])
+
+
+def _prime_factor_count(n):
+    """Omega(n): the prime factors of n counted with multiplicity."""
+    count, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            count += 1
+        p += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "hs_aut",
+        lambda: pgl2(9),
+        lambda: pgl2(13),
+        lambda: build_group([from_cycles(8, [(0, 1)]), from_cycles(8, [tuple(range(8))])]),
+    ],
+    ids=["Aut(HS)", "PGL(2,9)", "PGL(2,13)", "S8"],
+)
+def test_perfect_core_keeps_few_generators(source, request):
+    # Each derived step is reduced: every generator kept strictly enlarges
+    # the chain's group, so a core of order m has at most Omega(m) of them.
+    group = request.getfixturevalue(source) if isinstance(source, str) else source()
+    core = perfect_core(group)
+    assert core.order > 1
+    assert derived_subgroup(core).order == core.order
+    assert len(core.generators) <= _prime_factor_count(core.order)
