@@ -3,7 +3,9 @@
 An action is its image: the permutation group that the generators' images
 on a domain generate.  The property tests take that group.  Block systems
 need only generator images, so a graph's edges get no chain
-(:func:`block_witness`).
+(:func:`block_witness`).  Elements taken and returned are kernel elements
+of :mod:`edgeprim.perms`, never the boundary type ``Permutation``; the
+image of an element on a domain is a kernel element of the domain's size.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .perms import Permutation, _compose_t, _identity_t
-from .groups import Group, ScaleLimitError, build_group
+from .perms import _kernel
+from .groups import Group, ScaleLimitError, _Chain
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,13 +36,16 @@ def restrict_to_invariant_set(group: Group, subset: Sequence[int]) -> Group:
     """The image of the restriction to an invariant point set, on the
     indices of its points in sorted order."""
     points = sorted(set(subset))
+    if not points:
+        raise ValueError("cannot restrict to an empty point set")
     index = {x: i for i, x in enumerate(points)}
+    element = _kernel(len(points)).element
     try:
-        gens = [Permutation(tuple(index[g.images[x]] for x in points)) for g in group.generators]
+        gens = [element([index[g[x]] for x in points]) for g in group.gens]
     except KeyError as exc:
         raise ValueError(f"point set is not invariant: {exc} is outside it") from None
     # The image's order divides the group's; reaching it means faithful.
-    image = build_group(gens, order=group.order)
+    image = _Chain(len(points), (), gens, group.order).suffix_group(0, gens)
     if group.order % image.order != 0:
         raise AssertionError("image order must divide group order")
     return image
@@ -161,20 +166,19 @@ def is_primitive(group: Group) -> tuple[bool, BlockSystem | None]:
     """Primitivity with an imprimitivity witness on failure."""
     if not is_transitive(group):
         raise ValueError("primitivity is defined for transitive actions")
-    witness = block_witness(
-        [g.images for g in group.generators],
-        [g.images for g in group.point_stabilizer(0).generators],
-    )
+    witness = block_witness(group.gens, group.point_stabilizer(0).gens)
     return witness is None, witness
 
 
-def edge_images(edges: Sequence[tuple[int, int]], perms: Iterable[Permutation]) -> list:
-    """The permutations that vertex permutations induce on the indices of
-    ``edges``, an invariant list of pairs (u, v) with u < v."""
+def edge_images(edges: Sequence[tuple[int, int]], elements: Iterable) -> list:
+    """The kernel elements that vertex permutations, given as kernel
+    elements, induce on the indices of ``edges``, an invariant list of
+    pairs (u, v) with u < v."""
     index = {e: i for i, e in enumerate(edges)}
+    element = _kernel(len(edges)).element
     return [
-        tuple(index[(g[u], g[v]) if g[u] < g[v] else (g[v], g[u])] for u, v in edges)
-        for g in (p.images for p in perms)
+        element([index[(g[u], g[v]) if g[u] < g[v] else (g[v], g[u])] for u, v in edges])
+        for g in elements
     ]
 
 
@@ -184,7 +188,7 @@ class CosetTable:
     The canonical representative of a coset Hg is the element minimizing
     the image sequence of the subgroup's base, found by descending the
     subgroup's stabilizer chain; it is unique because base images determine
-    subgroup elements.
+    subgroup elements.  Elements are kernel elements of the group's degree.
     """
 
     def __init__(self, group: Group, sub: Group, max_index: int = 10**5):
@@ -200,16 +204,17 @@ class CosetTable:
         self.sub = sub
         self._base = sub.base
         self._transversals = sub.transversals
-        ident = self.canonical(_identity_t(group.degree))
+        self._kernel = k = _kernel(group.degree)
+        ident = self.canonical(k.identity)
         reps = [ident]
         lookup = {ident: 0}
-        gen_tuples = [g.images for g in group.generators]
+        gen_tables = [k.table(g) for g in group.gens]
         head = 0
         while head < len(reps):
             rep = reps[head]
             head += 1
-            for g in gen_tuples:
-                nxt = self.canonical(_compose_t(rep, g))
+            for g in gen_tables:
+                nxt = self.canonical(k.mul(rep, g))
                 if nxt not in lookup:
                     lookup[nxt] = len(reps)
                     reps.append(nxt)
@@ -219,7 +224,8 @@ class CosetTable:
         self.lookup = lookup
         self.index = index
 
-    def canonical(self, g: tuple[int, ...]) -> tuple[int, ...]:
+    def canonical(self, g):
+        mul, table = self._kernel.mul, self._kernel.table
         rep = g
         for point, trans in zip(self._base, self._transversals):
             best = None
@@ -229,15 +235,17 @@ class CosetTable:
                 if best is None or img < best:
                     best, best_delta = img, delta
             if best_delta is not None and best_delta != point:
-                rep = _compose_t(trans[best_delta], rep)
+                rep = mul(trans[best_delta], table(rep))
         return rep
 
-    def coset_of(self, g: tuple[int, ...]) -> int:
+    def coset_of(self, g) -> int:
         return self.lookup[self.canonical(g)]
 
-    def image_of(self, g: tuple[int, ...]) -> tuple[int, ...]:
-        """The permutation induced on coset indices by right multiplication."""
-        return tuple(
-            self.lookup[self.canonical(_compose_t(rep, g))] for rep in self.reps
+    def image_of(self, g):
+        """The permutation induced on coset indices by right multiplication,
+        as a kernel element of degree ``index``."""
+        mul, g_table = self._kernel.mul, self._kernel.table(g)
+        return _kernel(self.index).element(
+            [self.lookup[self.canonical(mul(rep, g_table))] for rep in self.reps]
         )
 

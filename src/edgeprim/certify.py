@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import families, fileio
-from .perms import Permutation, _compose_t
+from .perms import _kernel, _order
 from .groups import (
     DEFAULT_ENUMERATION_CUTOFF,
     Group,
     ScaleLimitError,
-    build_group,
+    _Chain,
     is_abelian,
     is_normal,
     perfect_core,
@@ -29,6 +29,7 @@ from .groups import (
     same_subgroup,
 )
 from .structure import (
+    _iter_elements_bytes,
     _p_part,
     centralizer,
     conjugacy_classes,
@@ -36,7 +37,6 @@ from .structure import (
     is_p_group,
     is_simple,
     is_soluble,
-    iter_element_images,
     normal_subgroups,
     normalizer,
     prime_factors,
@@ -203,7 +203,10 @@ class Analysis:
                 raise ValueError("normal subgroup must be nontrivial")
             if not is_normal(self.group, normal):
                 raise ValueError("subgroup is not normal")
-            self._normals[normal] = Analysis(normal, self.graph, self.inputs, self.config)
+            # A subgroup of a checked group of automorphisms needs no check.
+            sub = Analysis(normal, None, self.inputs, self.config)
+            sub.graph = self.graph
+            self._normals[normal] = sub
         return self._normals[normal]
 
 
@@ -239,8 +242,8 @@ def is_edge_primitive(analysis: Analysis) -> Certificate:
         return analysis.not_applicable(name, "group is not edge-transitive", evidence)
     stab = analysis.edge_stabilizer
     evidence["edge_stabilizer_order"] = stab.order
-    k = len(group.generators)
-    images = edge_images(graph.edges, group.generators + stab.generators)
+    k = len(group.gens)
+    images = edge_images(graph.edges, group.gens + stab.gens)
     evidence["edge_action_kernel_order"] = _edge_kernel_order(group, graph, images[:k])
     witness = block_witness(images[:k], images[k:])
     evidence["primitive"] = witness is None
@@ -269,7 +272,8 @@ def _edge_kernel_order(group: Group, graph: Graph, images: list) -> int:
     is a matching, and the image on its edges is built.
     """
     if all(len(nbrs) < 2 for nbrs in graph.adjacency):
-        return group.order // build_group(map(Permutation, images), order=group.order).order
+        image = _Chain(graph.num_edges, (), images, group.order).suffix_group(0, images)
+        return group.order // image.order
     covered = [v for v, nbrs in enumerate(graph.adjacency) if nbrs]
     return 1 if len(covered) == graph.n else group.pointwise_stabilizer(covered).order
 
@@ -576,15 +580,12 @@ def _is_sym6(group: Group) -> bool:
     """
     if group.order != 720:
         return False
-    identity = tuple(range(group.degree))
-    mul = _compose_t
+    k = _kernel(group.degree)
 
-    def of_order_3(p) -> bool:
-        return p != identity and mul(mul(p, p), p) == identity
+    def mul(p, q):
+        return k.mul(p, k.table(q))
 
-    involutions = [
-        g for g in iter_element_images(group) if g != identity and mul(g, g) == identity
-    ]
+    involutions = [g for g in _iter_elements_bytes(group) if _order(g) == 2]
 
     def extend(chain: list) -> bool:
         if len(chain) == 5:
@@ -593,13 +594,11 @@ def _is_sym6(group: Group) -> bool:
         return any(
             extend(chain + [s])
             for s in involutions
-            if of_order_3(mul(last, s))
+            if _order(mul(last, s)) == 3
             and all(mul(s, t) == mul(t, s) for t in chain[:-1])
         )
 
-    return any(
-        extend([rep.images]) for rep, _size in conjugacy_classes(group) if rep.order() == 2
-    )
+    return any(extend([rep]) for rep, _size in conjugacy_classes(group) if _order(rep) == 2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,17 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .perms import Permutation, _identity_t, _kernel
+from .perms import Permutation, _kernel
 from .groups import (
     Group,
+    _Chain,
     build_group,
     derived_subgroup,
     is_subgroup,
 )
 from .actions import CosetTable
-from .graphs import Graph, build_graph
-from .structure import _is_prime
+from .graphs import Graph, build_graph, is_connected
+from .structure import _is_prime, _iter_elements_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +317,24 @@ def psl2(q: int) -> Group:
     return derived
 
 
+def _affine_perms(field: FiniteField) -> list[Permutation]:
+    """Images of x -> x+1 and x -> lam*x (lam primitive) on the field."""
+    lam = field.primitive_element()
+    one = field.one()
+    translate = [0] * field.q
+    scale = [0] * field.q
+    for value in range(field.q):
+        x = field.from_int(value)
+        translate[value] = field.to_int(field.add(x, one))
+        scale[value] = field.to_int(field.mul(lam, x))
+    return [Permutation(tuple(translate)), Permutation(tuple(scale))]
+
+
 def agl1(q: int) -> Group:
     """AGL(1,q) = {x -> a x + b} on the q field elements."""
     field = _field_for_q(q)
     q_ = field.q
-    lam = field.primitive_element()
-    one = field.one()
-    translate = [0] * q_
-    scale = [0] * q_
-    for value in range(q_):
-        x = field.from_int(value)
-        translate[value] = field.to_int(field.add(x, one))
-        scale[value] = field.to_int(field.mul(lam, x))
-    group = build_group([Permutation(tuple(translate)), Permutation(tuple(scale))])
+    group = build_group(_affine_perms(field))
     if group.order != q_ * (q_ - 1):
         raise AssertionError(f"AGL(1,{q}) order {group.order} != {q_ * (q_ - 1)}")
     return group
@@ -337,9 +343,8 @@ def agl1(q: int) -> Group:
 def agammal1(q: int) -> Group:
     """AGL(1,q) extended by the Frobenius field automorphism."""
     field = _field_for_q(q)
-    base = agl1(q)
     frob = [field.to_int(field.frobenius(field.from_int(v))) for v in range(field.q)]
-    group = build_group(list(base.generators) + [Permutation(tuple(frob))])
+    group = build_group(_affine_perms(field) + [Permutation(tuple(frob))])
     if group.order != field.q * (field.q - 1) * field.k:
         raise AssertionError("AGammaL(1,q) order check failed")
     return group
@@ -374,7 +379,7 @@ def coset_graph(spec: CosetGraphSpec) -> tuple[Graph, Group]:
     and graph connectivity is asserted equivalent to the subgroup and
     connector generating the whole group.
     """
-    group, sub, a = spec.group, spec.subgroup, spec.connector
+    group, sub, a = spec.group, spec.subgroup, spec.connector.element
     if not is_subgroup(group, sub):
         raise ValueError("subgroup is not contained in the group")
     if sub.contains(a):
@@ -384,12 +389,12 @@ def coset_graph(spec: CosetGraphSpec) -> tuple[Graph, Group]:
 
     table = CosetTable(group, sub, COSET_INDEX_CAP)
     index = table.index
-    base_vertex = table.coset_of(_identity_t(group.degree))
-    a_vertex = table.coset_of(a.images)
+    base_vertex = table.coset_of(_kernel(group.degree).identity)
+    a_vertex = table.coset_of(a)
 
     # Neighbors of the base coset: the sub-orbit of Ha under right
     # multiplication by subgroup generators.
-    sub_images = [table.image_of(h.images) for h in sub.generators]
+    sub_images = [table.image_of(h) for h in sub.gens]
     nbrs = {a_vertex}
     queue = [a_vertex]
     while queue:
@@ -423,25 +428,23 @@ def coset_graph(spec: CosetGraphSpec) -> tuple[Graph, Group]:
                 "coset graph valency disagrees with |H : H meet H^a|"
             )
 
-    from .graphs import is_connected
-
-    generated = build_group(list(sub.generators) + [a], order=group.order)
+    gens = sub.gens + (a,)
+    generated = _Chain(group.degree, (), gens, group.order).suffix_group(0, gens)
     if is_connected(graph) != (generated.order == group.order):
         raise AssertionError(
             "connectivity must match whether subgroup and connector generate"
         )
 
-    image_gens = [Permutation(table.image_of(g.images)) for g in group.generators]
-    return graph, build_group(image_gens, order=group.order)
+    image_gens = [table.image_of(g) for g in group.gens]
+    image = _Chain(index, (), image_gens, group.order).suffix_group(0, image_gens)
+    return graph, image
 
 
-def _conjugate_intersection(sub: Group, a: Permutation) -> int:
+def _conjugate_intersection(sub: Group, a) -> int:
     """|H meet H^a| by filtering the enumerated elements of H."""
-    from .structure import _iter_elements_bytes
-
     k = _kernel(sub.degree)
-    a_inv, a_table = k.inverse(k.element(a.images)), k.table(k.element(a.images))
+    a_inv, a_table = k.inverse(a), k.table(a)
     return sum(
-        sub._contains_element(k.mul(k.mul(a_inv, k.table(h)), a_table))
+        sub.contains(k.mul(k.mul(a_inv, k.table(h)), a_table))
         for h in _iter_elements_bytes(sub)
     )

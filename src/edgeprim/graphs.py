@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
-from .perms import Permutation, _identity_t
-from .groups import Group, ScaleLimitError, build_group
+from .perms import _kernel
+from .groups import Group, ScaleLimitError, _Chain
 from .actions import restrict_to_invariant_set
 
 S_ARC_CAP = 8
@@ -227,10 +227,12 @@ def first_s_arc(graph: Graph, s: int) -> SArc | None:
     return None
 
 
-def is_automorphism(graph: Graph, p: Permutation) -> bool:
-    if p.degree != graph.n:
+def is_automorphism(graph: Graph, images) -> bool:
+    """Whether an image sequence (a kernel element, or any sequence) of a
+    bijection on the vertices maps every edge to an edge."""
+    if len(images) != graph.n:
         return False
-    edge_set, images = graph.edge_set, p.images
+    edge_set = graph.edge_set
     for u, v in graph.edges:
         a, b = images[u], images[v]
         if ((a, b) if a < b else (b, a)) not in edge_set:
@@ -243,7 +245,7 @@ def check_preserves_edges(graph: Graph, group: Group) -> None:
     sound because automorphisms form a group."""
     if group.degree != graph.n:
         raise ValueError("group degree must equal the vertex count")
-    for g in group.generators:
+    for g in group.gens:
         if not is_automorphism(graph, g):
             raise ValueError("a generator of the group is not a graph automorphism")
 
@@ -360,7 +362,7 @@ def automorphism_group(graph: Graph) -> Group:
             f"graph has {n}"
         )
     adjacency = graph.adjacency
-    edge_set = graph.edge_set
+    element = _kernel(n).element
 
     root = _refine((tuple(range(n)),), adjacency)
 
@@ -380,20 +382,16 @@ def automorphism_group(graph: Graph) -> Group:
     canon_leaf = tuple(c[0] for c in canon_states[-1])
     depth_count = len(positions)
 
-    def leaf_automorphism(leaf_cells) -> tuple[int, ...] | None:
+    def leaf_automorphism(leaf_cells):
         leaf = tuple(c[0] for c in leaf_cells)
         images = [0] * n
         for a, b in zip(canon_leaf, leaf):
             images[a] = b
-        if len(set(images)) != n:
+        if len(set(images)) != n or not is_automorphism(graph, images):
             return None
-        for u, v in graph.edges:
-            a, b = images[u], images[v]
-            if ((a, b) if a < b else (b, a)) not in edge_set:
-                return None
-        return tuple(images)
+        return element(images)
 
-    def search(depth: int, cells) -> tuple[int, ...] | None:
+    def search(depth: int, cells):
         """First automorphism whose descent reaches this state, or None."""
         if _shape(cells) != canon_shapes[depth]:
             return None
@@ -406,7 +404,7 @@ def automorphism_group(graph: Graph) -> Group:
                 return result
         return None
 
-    gens: list[Permutation] = []
+    gens: list = []
     level_orbits: list[int] = []
     for depth in reversed(range(depth_count)):
         cell = canon_states[depth][positions[depth]]
@@ -423,7 +421,7 @@ def automorphism_group(graph: Graph) -> Group:
                 _individualize(canon_states[depth], positions[depth], w, adjacency),
             )
             if found is not None:
-                gens.append(Permutation(found))
+                gens.append(found)
                 _grow_orbit(orbit, gens)
                 if w not in orbit:
                     raise AssertionError("found automorphism does not reach target")
@@ -432,26 +430,24 @@ def automorphism_group(graph: Graph) -> Group:
     # The chain's base starts with the first edge (repeats are dropped), so
     # the stabilizers of that edge and its arcs are read off the chain.
     first_edge = graph.edges[0] if graph.edges else ()
-    group = build_group(
-        gens or [Permutation(_identity_t(n))], base_prefix=first_edge + tuple(base)
-    )
+    group = _Chain(n, first_edge + tuple(base), gens).suffix_group(0, gens)
     expected = 1
     for size in level_orbits:
         expected *= size
     if group.order != expected:
         raise AssertionError("chain order disagrees with search orbits")
-    for g in group.generators:
+    for g in group.gens:
         if not is_automorphism(graph, g):
             raise AssertionError("search produced a non-automorphism")
     return group
 
 
-def _grow_orbit(orbit: set[int], gens: list[Permutation]) -> None:
+def _grow_orbit(orbit: set[int], gens: list) -> None:
     queue = list(orbit)
     while queue:
         x = queue.pop()
         for g in gens:
-            y = g(x)
+            y = g[x]
             if y not in orbit:
                 orbit.add(y)
                 queue.append(y)

@@ -11,13 +11,15 @@ Transversal convention: ``transversals[i][beta]`` is a kernel element
 ``t`` with ``t[base[i]] == beta``.  Products read left to right
 (``compose(p, q)`` applies ``p`` first).
 
-The chain is built and searched on raw elements of the permutation kernel
+Every element here is a raw element of the permutation kernel
 (:func:`edgeprim.perms._kernel`): ``bytes`` composed by ``bytes.translate``
 up to degree 255, image tuples past it.  The frozen :class:`Group` keeps
-the chain's transversal elements as they are and wraps only its generators
-and strong generators as :class:`Permutation` objects, without
-re-validating them; it keeps each representative's inverse table so that
-:meth:`Group.contains` sifts without inverting anything.
+its generators, strong generators and transversal elements in that form,
+and each representative's inverse table so that :meth:`Group.contains`
+sifts without inverting anything.  The functions here take and return
+kernel elements.  :class:`Permutation` appears only at the boundary:
+:func:`build_group` converts it once, and :attr:`Group.generators` hands
+the generators back as validated permutations.
 
 Known-order stop.  A chain may be given the order of a group that contains
 every generator added to it, and it stops as soon as the product of its
@@ -51,11 +53,12 @@ the longest stabilizer walked, bounded by its order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .perms import Permutation, _identity_t, _kernel
+from .perms import Permutation, _kernel
 
 
 class ScaleLimitError(RuntimeError):
@@ -212,18 +215,16 @@ class _Chain:
         n = self.degree
         return [g[:n] for g, lvl in zip(self.strong, self.level_of) if lvl >= k]
 
-    def suffix_group(self, k: int, generators: Sequence[Permutation] = ()) -> "Group":
+    def suffix_group(self, k: int, generators: Sequence = ()) -> "Group":
         """The stabilizer of points[:k] as a Group sharing this chain's tail,
-        generated by ``generators`` if given, else by its strong generators."""
-        wrap = Permutation._trusted
-        strong = tuple(map(wrap, self.strong_elements(k)))
-        if not strong:
-            strong = (wrap(_identity_t(self.degree)),)
+        generated by the elements ``generators`` if given, else by its
+        strong generators."""
+        strong = tuple(self.strong_elements(k)) or (self.identity,)
         return Group(
             degree=self.degree,
-            generators=tuple(generators) or strong,
+            gens=tuple(generators) or strong,
             base=tuple(self.points[k:]),
-            strong_generators=strong,
+            strong_gens=strong,
             # Copied: a chain may grow after it is frozen.
             transversals=tuple(map(dict, self.transversals[k:])),
             _inverse_tables=tuple(map(dict, self.inverses[k:])),
@@ -234,29 +235,33 @@ class _Chain:
 class Group:
     """A permutation group with a valid stabilizer chain.
 
-    Treat all fields, including the transversal dicts, as immutable.
+    ``gens`` and ``strong_gens`` are the generators and strong generators
+    as kernel elements.  Treat all fields, including the transversal dicts,
+    as immutable.
     """
 
     degree: int
-    generators: tuple[Permutation, ...]
+    gens: tuple
     base: tuple[int, ...]
-    strong_generators: tuple[Permutation, ...]
+    strong_gens: tuple
     # Per level, the kernel element of each coset representative.
     transversals: tuple[dict[int, object], ...]
     # Per level, the kernel inverse table of each transversal element.
     _inverse_tables: tuple[dict[int, object], ...] = field(repr=False, compare=False)
 
+    @functools.cached_property
+    def generators(self) -> tuple[Permutation, ...]:
+        """The generators as validated permutations, for output."""
+        return tuple(map(Permutation, self.gens))
+
     @property
     def order(self) -> int:
         return math.prod(len(t) for t in self.transversals)
 
-    def contains(self, p: Permutation) -> bool:
-        if p.degree != self.degree:
-            raise ValueError(f"degree mismatch: {p.degree} != {self.degree}")
-        return self._contains_element(_kernel(self.degree).element(p.images))
-
-    def _contains_element(self, residue) -> bool:
-        """Membership of a raw kernel element of this group's degree."""
+    def contains(self, residue) -> bool:
+        """Membership of a kernel element, sifted down the chain."""
+        if len(residue) != self.degree:
+            raise ValueError(f"degree mismatch: {len(residue)} != {self.degree}")
         k = _kernel(self.degree)
         for point, inv in zip(self.base, self._inverse_tables):
             u_inv = inv.get(residue[point])
@@ -274,7 +279,7 @@ class Group:
         seen = {point}
         queue = [point]
         head = 0
-        gens = [g.images for g in self.strong_generators]
+        gens = self.strong_gens
         while head < len(queue):
             a = queue[head]
             head += 1
@@ -313,14 +318,14 @@ class Group:
         k = _kernel(self.degree)
         j, g_inv = _walk(k, self._inverse_tables, prefix)
         fixed = self.base[:j]
-        fixing = [s for s in self.strong_generators if all(s.images[b] == b for b in fixed)]
+        fixing = [s for s in self.strong_gens if all(s[b] == b for b in fixed)]
         if j == len(prefix) and g_inv == k.identity:
-            strong = tuple(fixing) or (Permutation._trusted(k.identity),)
+            strong = tuple(fixing) or (k.identity,)
             return Group(
                 degree=self.degree,
-                generators=strong,
+                gens=strong,
                 base=self.base[j:],
-                strong_generators=strong,
+                strong_gens=strong,
                 transversals=self.transversals[j:],
                 _inverse_tables=self._inverse_tables[j:],
             )
@@ -329,22 +334,21 @@ class Group:
         def conj(h_table):
             return k.mul(k.mul(g_inv, h_table), g)
 
-        strong = [conj(k.table(k.element(s.images))) for s in fixing]
+        strong = [conj(k.table(s)) for s in fixing]
         if j < len(prefix):
             tail_order = math.prod(len(t) for t in self.transversals[j:])
             chain = _Chain(self.degree, prefix[j:], strong, tail_order)
             return chain.suffix_group(len(prefix) - j)
-        wrap = Permutation._trusted
-        strong = tuple(map(wrap, strong)) or (wrap(k.identity),)
+        strong = tuple(strong) or (k.identity,)
         transversals, inverses = [], []
         for trans, inv in zip(self.transversals[j:], self._inverse_tables[j:]):
             transversals.append({g[b]: conj(k.table(t)) for b, t in trans.items()})
             inverses.append({g[b]: k.table(conj(t_inv)) for b, t_inv in inv.items()})
         return Group(
             degree=self.degree,
-            generators=strong,
+            gens=strong,
             base=tuple(g[b] for b in self.base[j:]),
-            strong_generators=strong,
+            strong_gens=strong,
             transversals=tuple(transversals),
             _inverse_tables=tuple(inverses),
         )
@@ -366,7 +370,7 @@ class Group:
         for p in pts:
             self._check_point(p)
         fixing = self.pointwise_stabilizer(pts)
-        gens = list(fixing.generators)
+        gens = list(fixing.gens)
         src = tuple(pts)
         patterns = 1
         for image in itertools.permutations(pts):
@@ -377,7 +381,8 @@ class Group:
                 gens.append(rep)
                 patterns += 1
         # Each realized pattern is one coset of the pointwise stabilizer.
-        return build_group(gens, order=fixing.order * patterns)
+        order = fixing.order * patterns
+        return _Chain(self.degree, (), gens, order).suffix_group(0, gens)
 
     def _check_point(self, point: int) -> None:
         if not 0 <= point < self.degree:
@@ -386,7 +391,7 @@ class Group:
     def __repr__(self) -> str:
         return (
             f"Group(degree={self.degree}, order={self.order}, "
-            f"generators={len(self.generators)})"
+            f"generators={len(self.gens)})"
         )
 
 
@@ -395,7 +400,8 @@ def build_group(
     base_prefix: Sequence[int] = (),
     order: int | None = None,
 ) -> Group:
-    """Deterministic Schreier-Sims construction from a generator sequence.
+    """Deterministic Schreier-Sims construction from a sequence of
+    permutations, each converted once to a kernel element.
 
     ``order``, if given, must be the proven order of a group containing
     every generator; the build stops once the chain reaches it, with the
@@ -408,19 +414,17 @@ def build_group(
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"degree mismatch: {g.degree} != {degree}")
-    element = _kernel(degree).element
-    chain = _Chain(degree, base_prefix, [element(g.images) for g in gens], order)
-    return chain.suffix_group(0, gens)
+    elements = [g.element for g in gens]
+    return _Chain(degree, base_prefix, elements, order).suffix_group(0, elements)
 
 
 def trivial_group(degree: int) -> Group:
-    return build_group([Permutation(_identity_t(degree))])
+    return _Chain(degree).suffix_group(0)
 
 
-def element_mapping(
-    group: Group, src: Sequence[int], dst: Sequence[int]
-) -> Permutation | None:
-    """Some g in the group with src[i]^g = dst[i] for all i, or None.
+def element_mapping(group: Group, src: Sequence[int], dst: Sequence[int]):
+    """Some g in the group with src[i]^g = dst[i] for all i, as a kernel
+    element, or None.
 
     When src is an image of the base, g_src^-1 g_dst from two walks down
     the group's chain; otherwise dst is walked down one chain rebased onto
@@ -436,13 +440,12 @@ def element_mapping(
     inverses = group._inverse_tables
     j, src_inv = _walk(k, inverses, src)
     if j < len(src):
-        strong = [k.element(g.images) for g in group.strong_generators]
-        chain = _Chain(group.degree, src, strong, group.order)
+        chain = _Chain(group.degree, src, group.strong_gens, group.order)
         inverses, src_inv = chain.inverses, k.identity
     j, dst_inv = _walk(k, inverses, dst)
     if j < len(dst):
         return None
-    return Permutation._trusted(k.mul(src_inv, k.table(k.inverse(dst_inv))))
+    return k.mul(src_inv, k.table(k.inverse(dst_inv)))
 
 
 def _walk(k, inverses: Sequence[dict], points: Sequence[int]):
@@ -467,7 +470,7 @@ def _walk(k, inverses: Sequence[dict], points: Sequence[int]):
 def is_subgroup(group: Group, sub: Group) -> bool:
     if group.degree != sub.degree:
         raise ValueError("degree mismatch")
-    return all(group.contains(g) for g in sub.generators)
+    return all(group.contains(g) for g in sub.gens)
 
 
 def same_subgroup(a: Group, b: Group) -> bool:
@@ -482,10 +485,10 @@ def is_normal(group: Group, sub: Group) -> bool:
     if not is_subgroup(group, sub):
         raise ValueError("candidate is not a subgroup")
     k = _kernel(group.degree)
-    subs = [k.table(k.element(h.images)) for h in sub.generators]
+    subs = [k.table(h) for h in sub.gens]
     for g_inv, g in _conjugators(group):
         for h in subs:
-            if not sub._contains_element(k.mul(k.mul(g_inv, h), g)):
+            if not sub.contains(k.mul(k.mul(g_inv, h), g)):
                 return False
     return True
 
@@ -494,12 +497,11 @@ def _conjugators(group: Group) -> list:
     """(g^-1 as element, g as table) for each generator g: the conjugate
     of an element table h by g is ``mul(mul(g_inv, h), g)``."""
     k = _kernel(group.degree)
-    elements = [k.element(g.images) for g in group.generators]
-    return [(k.inverse(e), k.table(e)) for e in elements]
+    return [(k.inverse(e), k.table(e)) for e in group.gens]
 
 
-def normal_closure(group: Group, seeds: Iterable[Permutation]) -> Group:
-    """Smallest normal subgroup of group containing the seed elements.
+def normal_closure(group: Group, seeds: Iterable) -> Group:
+    """Smallest normal subgroup of group containing the seed kernel elements.
 
     One chain grows by every conjugate it does not yet contain; its
     generating set is the seeds followed by those conjugates in the order
@@ -507,16 +509,13 @@ def normal_closure(group: Group, seeds: Iterable[Permutation]) -> Group:
     The chain is bounded by the order of the group: once it reaches it the
     closure is the whole group, and conjugation stops.
     """
-    seed_list = [s for s in seeds if not s.is_identity()]
-    for s in seed_list:
+    k = _kernel(group.degree)
+    gens = [s for s in seeds if s != k.identity]
+    for s in gens:
         if not group.contains(s):
             raise ValueError("seed element is not in the group")
-    if not seed_list:
-        return trivial_group(group.degree)
-    k = _kernel(group.degree)
-    frontier = [k.element(s.images) for s in seed_list]
-    chain = _Chain(group.degree, (), frontier, group.order)
-    gens = list(seed_list)
+    chain = _Chain(group.degree, (), gens, group.order)
+    frontier = list(gens)
     gen_pairs = _conjugators(group)
     while frontier:
         new = []
@@ -528,7 +527,7 @@ def normal_closure(group: Group, seeds: Iterable[Permutation]) -> Group:
                 conj = k.mul(k.mul(g_inv, h_table), g)
                 if chain.add_generator(conj):
                     new.append(conj)
-                    gens.append(Permutation._trusted(conj))
+        gens += new
         frontier = new
     return chain.suffix_group(0, gens)
 
@@ -546,9 +545,7 @@ def derived_subgroup(group: Group) -> Group:
             comm = k.mul(k.mul(k.mul(a_inv, k.table(b_inv)), a), b)
             if comm not in seen:
                 seen.add(comm)
-                commutators.append(Permutation._trusted(comm))
-    if not commutators:
-        return trivial_group(group.degree)
+                commutators.append(comm)
     return normal_closure(group, commutators)
 
 
@@ -580,14 +577,6 @@ def reduce_generators(group: Group) -> Group:
     strong generator it does not yet contain, until it is full; the result
     equals ``build_group`` of the chosen sequence.
     """
-    k = _kernel(group.degree)
     chain = _Chain(group.degree, order=group.order)
-    chosen = []
-    for g in list(group.generators) + list(group.strong_generators):
-        if chain.full():
-            break
-        if chain.add_generator(k.element(g.images)):
-            chosen.append(g)
-    if not chosen:
-        return trivial_group(group.degree)
+    chosen = [g for g in group.gens + group.strong_gens if chain.add_generator(g)]
     return chain.suffix_group(0, chosen)

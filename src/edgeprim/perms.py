@@ -1,17 +1,22 @@
-"""Permutations of {0, ..., n-1}.
+"""Permutations of {0, ..., n-1}: the validated boundary type and the
+kernel elements that the group machinery computes with.
 
-A permutation is stored as a tuple of images: ``p.images[x]`` is the image
-of ``x``.  Products are read left to right: ``compose(p, q)`` applies ``p``
-first, then ``q``.  All permutations are immutable and hashable.
-``Permutation(...)`` and :func:`from_cycles` validate their input; images
-that the group machinery computed itself are wrapped unchecked.
+A :class:`Permutation` is stored as a tuple of images: ``p.images[x]`` is
+the image of ``x``.  Products are read left to right: ``compose(p, q)``
+applies ``p`` first, then ``q``.  All permutations are immutable and
+hashable, and ``Permutation(...)`` and :func:`from_cycles` validate their
+input.  ``Permutation`` is the type in which an element enters the package
+(group files, coset specs, named families) and leaves it
+(``Group.generators``).
 
-The group machinery does its arithmetic on raw elements through one private
-kernel per degree (:func:`_kernel`).  Up to degree 255 an element is an
-n-byte ``bytes`` and a product is one ``bytes.translate`` call; past that
-an element is an image tuple and a product is one ``operator.itemgetter``
-call.  Both forms index like the image tuple, compare equal exactly when
-the permutations are equal and sort in the same order as the image tuples.
+Inside the package an element is a raw element of one private kernel per
+degree (:func:`_kernel`).  Up to degree 255 it is an n-byte ``bytes`` and a
+product is one ``bytes.translate`` call; past that it is an image tuple and
+a product is one ``operator.itemgetter`` call.  Both forms index like the
+image tuple, ``tuple(e)`` is the image tuple, and they compare equal exactly
+when the permutations are equal and sort in the same order as the image
+tuples.  A ``bytes`` element never equals a tuple.  ``p.element`` is the
+kernel element of a ``Permutation``, and ``Permutation(e)`` validates one.
 """
 
 from __future__ import annotations
@@ -26,10 +31,6 @@ from typing import Iterable
 _BYTE_RANGE = bytes(range(256))
 
 
-def _compose_t(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(q[x] for x in p)
-
-
 def _inverse_t(p: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(p)
     for i, x in enumerate(p):
@@ -40,6 +41,27 @@ def _inverse_t(p: tuple[int, ...]) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=64)
 def _identity_t(n: int) -> tuple[int, ...]:
     return tuple(range(n))
+
+
+def _cycles(images) -> tuple[tuple[int, ...], ...]:
+    """Nontrivial cycles of an image sequence, each starting at its
+    smallest point."""
+    seen = set()
+    out = []
+    for i, j in enumerate(images):
+        if i in seen or j == i:
+            continue
+        cycle = [i]
+        while j != i:
+            seen.add(j)
+            cycle.append(j)
+            j = images[j]
+        out.append(tuple(cycle))
+    return tuple(out)
+
+
+def _order(images) -> int:
+    return math.lcm(*map(len, _cycles(images)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -87,17 +109,14 @@ class Permutation:
                 raise ValueError(f"images {images!r} are not a bijection on 0..{n - 1}")
             seen[x] = True
 
-    @classmethod
-    def _trusted(cls, images) -> "Permutation":
-        """Wrap images known to be a bijection (a tuple or a kernel
-        element), without validating them."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", tuple(images))
-        return p
-
     @property
     def degree(self) -> int:
         return len(self.images)
+
+    @property
+    def element(self):
+        """This permutation as a kernel element of its degree."""
+        return _kernel(self.degree).element(self.images)
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -106,30 +125,17 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        return Permutation._trusted(_inverse_t(self.images))
+        return Permutation(_inverse_t(self.images))
 
     def is_identity(self) -> bool:
         return self.images == _identity_t(len(self.images))
 
     def order(self) -> int:
-        cycles = self.cycles()
-        return math.lcm(*(len(c) for c in cycles)) if cycles else 1
+        return _order(self.images)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its smallest point."""
-        seen = set()
-        out = []
-        for i in range(self.degree):
-            if i in seen or self.images[i] == i:
-                continue
-            cycle = [i]
-            j = self.images[i]
-            while j != i:
-                seen.add(j)
-                cycle.append(j)
-                j = self.images[j]
-            out.append(tuple(cycle))
-        return tuple(out)
+        return _cycles(self.images)
 
     def __repr__(self) -> str:
         cycles = self.cycles()
@@ -147,7 +153,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply p first, then q."""
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    return Permutation._trusted(_compose_t(p.images, q.images))
+    return Permutation(tuple(map(q.images.__getitem__, p.images)))
 
 
 def inverse(p: Permutation) -> Permutation:

@@ -10,11 +10,11 @@ no enumeration at all.  Every entry point is still gated by an explicit
 cutoff (default 10^6): exceeding it raises :class:`ScaleLimitError`
 rather than returning a wrong or partial answer.
 
-Enumeration, class orbits and the commutation tests work on raw elements
-through the permutation kernel of :mod:`edgeprim.perms`: one body serves
-every degree, and up to degree 255 each product is one ``bytes.translate``
-call, which keeps full enumerations of groups like a 252000-element
-degree-50 group in the seconds range.
+Every element taken or returned here is a kernel element of
+:mod:`edgeprim.perms`, not a ``Permutation``, which is only the boundary
+type: one body serves every degree, and up to degree 255 each product is
+one ``bytes.translate`` call, which keeps full enumerations of groups like
+a 252000-element degree-50 group in the seconds range.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Iterator
 
-from .perms import Permutation, _identity_t, _kernel
+from .perms import _cycles, _kernel, _order
 from .groups import (
     DEFAULT_ENUMERATION_CUTOFF,
     Group,
     ScaleLimitError,
     _Chain,
     _conjugators,
-    build_group,
     is_abelian,
     is_subgroup,
     normal_closure,
@@ -65,14 +64,9 @@ def _iter_elements_bytes(group: Group) -> Iterator:
     yield from rec(0, table(k.identity))
 
 
-def iter_element_images(group: Group) -> Iterator[tuple[int, ...]]:
-    """Every element's image tuple, deterministically ordered."""
-    yield from map(tuple, _iter_elements_bytes(group))
-
-
-def elements(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> list[Permutation]:
+def elements(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> list:
     _check_cutoff(group, cutoff, "element listing")
-    return list(map(Permutation._trusted, _iter_elements_bytes(group)))
+    return list(_iter_elements_bytes(group))
 
 
 def normalizer(
@@ -90,19 +84,17 @@ def normalizer(
     _check_cutoff(group, cutoff, "normalizer")
     k = _kernel(group.degree)
     sub_tables = [h for _inverse, h in _conjugators(sub)]
-    gens = list(sub.generators) or [Permutation(_identity_t(group.degree))]
-    chain = _Chain(group.degree, (), (k.element(h.images) for h in gens), group.order)
+    gens = list(sub.gens)
+    chain = _Chain(group.degree, (), gens, group.order)
     for p in _iter_elements_bytes(group):
         if chain.full():
             break
         if chain.sift(p)[0] == k.identity:
             continue
         inv, p_table = k.inverse(p), k.table(p)
-        if all(
-            sub._contains_element(k.mul(k.mul(inv, h), p_table)) for h in sub_tables
-        ):
+        if all(sub.contains(k.mul(k.mul(inv, h), p_table)) for h in sub_tables):
             chain.add_generator(p)
-            gens.append(Permutation._trusted(p))
+            gens.append(p)
     return chain.suffix_group(0, gens)
 
 
@@ -124,7 +116,7 @@ def centralizer(
     k = _kernel(group.degree)
     mul, table = k.mul, k.table
     sub_tables = [h for _inverse, h in _conjugators(sub)]
-    gens: list[Permutation] = []
+    gens = []
     chain = _Chain(group.degree, order=group.order)
     for p in _iter_elements_bytes(group):
         if chain.full():
@@ -134,8 +126,8 @@ def centralizer(
             mul(p_table, h) != mul(h, p_table) for h in sub_tables
         ) or not chain.add_generator(p):
             continue
-        gens.append(Permutation._trusted(p))
-    return chain.suffix_group(0, gens) if gens else trivial_group(group.degree)
+        gens.append(p)
+    return chain.suffix_group(0, gens)
 
 
 def _transitive_centralizer(group: Group, sub: Group) -> Group:
@@ -152,7 +144,7 @@ def _transitive_centralizer(group: Group, sub: Group) -> Group:
     n = sub.degree
     k = _kernel(n)
     alpha = 0
-    stab_gens = [g.images for g in sub.point_stabilizer(alpha).generators]
+    stab_gens = sub.point_stabilizer(alpha).gens
     fixed = [b for b in range(n) if all(g[b] == b for g in stab_gens)]
     sub_gens = [g for _inverse, g in _conjugators(sub)]
     kept = []
@@ -176,16 +168,17 @@ def _transitive_centralizer(group: Group, sub: Group) -> Group:
                 f"point {beta} is fixed by the stabilizer of {alpha} but gives "
                 "no centralizing permutation"
             )
-        if group._contains_element(c):
-            kept.append(Permutation._trusted(c))
-    return build_group(kept) if kept else trivial_group(group.degree)
+        if group.contains(c):
+            kept.append(c)
+    return _Chain(n, (), kept).suffix_group(0, kept)
 
 
 def conjugacy_classes(
     group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF
-) -> list[tuple[Permutation, int]]:
-    """(representative, class size) pairs; representatives are the first
-    class members met in enumeration order, so the output is deterministic."""
+) -> list[tuple[object, int]]:
+    """(representative, class size) pairs; representatives are kernel
+    elements, the first class members met in enumeration order, so the
+    output is deterministic."""
     _check_cutoff(group, cutoff, "conjugacy class enumeration")
     k = _kernel(group.degree)
     mul, table = k.mul, k.table
@@ -205,7 +198,7 @@ def conjugacy_classes(
                     cls.add(y)
                     queue.append(y)
         seen |= cls
-        out.append((Permutation._trusted(b), len(cls)))
+        out.append((b, len(cls)))
     return out
 
 
@@ -275,15 +268,13 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
     to = {x: table(t) for x, t in group.transversals[level].items()}
     back = group._inverse_tables[level]
     stab = group.pointwise_stabilizer(group.base[: level + 1])
-    stab_strong = [k.element(g.images) for g in stab.strong_generators]
     home = {}
     cosets = []
-    trivial = trivial_group(group.degree)
     for orbit in stab.orbits():
         beta = orbit[0]
         if beta == b or beta not in to:
             continue
-        local = _Chain(group.degree, (beta,), stab_strong, stab.order)
+        local = _Chain(group.degree, (beta,), stab.strong_gens, stab.order)
         home.update(
             (y, (u, local.inverses[0][y])) for y, u in local.transversals[0].items()
         )
@@ -297,8 +288,7 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
             if t[gamma] != beta and all(h[t[gamma]] == t[gamma] for h in commuting)
         ]
         if starts:
-            stab_beta = local.suffix_group(1) if commuting else trivial
-            cosets.append((stab_beta, starts, list(map(table, commuting))))
+            cosets.append((local.suffix_group(1), starts, list(map(table, commuting))))
     passed: set = set()
     for stab_beta, starts, commuting in cosets:
         for start in starts:
@@ -311,7 +301,7 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
                     c[x] == x for x in to
                 ):
                     continue
-                if normal_closure(group, [Permutation._trusted(c)]).order != order:
+                if normal_closure(group, [c]).order != order:
                     return False
                 on_cycle: set = set()
                 for x in to:
@@ -328,8 +318,9 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
 
 def _class_closures(group: Group, cutoff: int) -> list[Group]:
     out: list[Group] = []
+    identity = _kernel(group.degree).identity
     for rep, _size in conjugacy_classes(group, cutoff):
-        if rep.is_identity():
+        if rep == identity:
             continue
         n = normal_closure(group, [rep])
         if not any(same_subgroup(n, seen) for seen in out):
@@ -350,10 +341,8 @@ def normal_subgroups(group: Group, bound: int = 10**5) -> list[Group]:
         changed = False
         for i in range(len(found)):
             for j in range(i + 1, len(found)):
-                join = build_group(
-                    list(found[i].generators) + list(found[j].generators),
-                    order=group.order,
-                )
+                gens = found[i].gens + found[j].gens
+                join = _Chain(group.degree, (), gens, group.order).suffix_group(0, gens)
                 if not any(same_subgroup(join, seen) for seen in found):
                     found.append(join)
                     changed = True
@@ -373,21 +362,19 @@ def sylow_subgroup(
         raise ValueError(f"{p} is not prime")
     _check_cutoff(group, cutoff, "Sylow subgroup search")
     target = _p_part(group.order, p)
-    k = _kernel(group.degree)
     chain = _Chain(group.degree)
-    gens: list[Permutation] = []
+    gens = []
     current = trivial_group(group.degree)
     while current.order < target:
         ambient = group if current.is_trivial() else normalizer(group, current, cutoff)
         grown = False
-        for images in iter_element_images(ambient):
-            x = Permutation._trusted(images)
-            m = x.order()
+        for x in _iter_elements_bytes(ambient):
+            m = _order(x)
             pp = _p_part(m, p)
             if pp == 1:
                 continue
             y = _power(x, m // pp)
-            if chain.add_generator(k.element(y.images)):
+            if chain.add_generator(y):
                 gens.append(y)
                 current = chain.suffix_group(0, gens)
                 grown = True
@@ -398,12 +385,13 @@ def sylow_subgroup(
     return current
 
 
-def _power(p: Permutation, e: int) -> Permutation:
-    images = list(range(p.degree))
-    for cycle in p.cycles():
-        for i, x in enumerate(cycle):
-            images[x] = cycle[(i + e) % len(cycle)]
-    return Permutation._trusted(images)
+def _power(x, e: int):
+    """The e-th power of a kernel element, read off its cycles."""
+    images = list(range(len(x)))
+    for cycle in _cycles(x):
+        for i, a in enumerate(cycle):
+            images[a] = cycle[(i + e) % len(cycle)]
+    return _kernel(len(x)).element(images)
 
 
 def _is_prime(n: int) -> bool:
@@ -463,7 +451,4 @@ def is_cyclic(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
         return True
     _check_cutoff(group, cutoff, "cyclicity test")
     order = group.order
-    for images in iter_element_images(group):
-        if Permutation._trusted(images).order() == order:
-            return True
-    return False
+    return any(_order(x) == order for x in _iter_elements_bytes(group))

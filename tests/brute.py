@@ -104,8 +104,8 @@ def assert_valid_chain(group, points) -> None:
             assert t[b] == beta
             assert all(t[x] == x for x in group.base[:i] + tuple(points))
             assert [inverses[beta][t[x]] for x in range(n)] == list(range(n))
-    for s in group.strong_generators:
-        assert all(s.images[x] == x for x in points)
+    for s in group.strong_gens:
+        assert all(s[x] == x for x in points)
 
 
 def brute_setwise_stabilizer(elements: set[tuple[int, ...]], points: set[int]) -> set[tuple[int, ...]]:

@@ -53,7 +53,7 @@ def on_2sets(group):
 def on_cosets(group, sub):
     """The image on the right cosets of ``sub``, from a coset table."""
     table = CosetTable(group, sub)
-    gens = [Permutation(table.image_of(g.images)) for g in group.generators]
+    gens = [Permutation(table.image_of(g)) for g in group.gens]
     return build_group(gens, order=group.order)
 
 

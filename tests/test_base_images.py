@@ -121,9 +121,9 @@ def test_stabilizers_and_mappings_match_brute_force(name):
         fixing = {e for e in elements if all(e[p] == p for p in points)}
         assert stab.order == len(fixing)
         assert_valid_chain(stab, points)
-        assert {s.images for s in stab.strong_generators} <= members
+        assert {tuple(s) for s in stab.strong_gens} <= members
         for e in rng.sample(elements, min(len(elements), 200)):
-            assert stab.contains(Permutation._trusted(e)) == (e in fixing)
+            assert stab.contains(k.element(e)) == (e in fixing)
 
         for dst in (tuple(rng.choice(elements)[p] for p in points),
                     tuple(rng.sample(range(group.degree), len(points)))):
@@ -131,8 +131,8 @@ def test_stabilizers_and_mappings_match_brute_force(name):
             expected = any(all(e[s] == d for s, d in zip(points, dst)) for e in elements)
             assert (found is not None) == expected
             if found is not None:
-                assert found.images in members
-                assert all(found(s) == d for s, d in zip(points, dst))
+                assert tuple(found) in members
+                assert all(found[s] == d for s, d in zip(points, dst))
     transitive = len(group.orbits()) == 1
     assert walked >= ({"all", "part"} if transitive else {"all", "part", "none"})
 
@@ -148,7 +148,7 @@ def test_identity_walk_shares_the_chain_tail():
 def test_element_mapping_with_repeated_points():
     group = pgl2(7)
     found = element_mapping(group, (0, 1, 0), (2, 3, 2))
-    assert found is not None and (found(0), found(1)) == (2, 3)
+    assert found is not None and (found[0], found[1]) == (2, 3)
     assert element_mapping(group, (0, 0), (2, 3)) is None
     assert element_mapping(group, (0, 1), (2, 2)) is None
-    assert element_mapping(group, (), ()).is_identity()
+    assert element_mapping(group, (), ()) == _kernel(group.degree).identity

@@ -570,6 +570,16 @@ def test_lemma_suite_decides_edge_primitivity_once_per_fixture(monkeypatch, tmp_
     assert len(image_calls) == len(fixtures)
 
 
+def test_lemma_suite_checks_each_graph_fixture_against_its_group_once(monkeypatch, tmp_path):
+    # The analyses of normal subgroups share the fixture's graph unchecked:
+    # a subgroup of a checked group of automorphisms acts by automorphisms.
+    from edgeprim import certify
+
+    calls = _count_calls(monkeypatch, certify, "check_preserves_edges")
+    run_lemma_suite(None, RunConfig(fixture_dir=tmp_path / "fixtures"))
+    assert len(calls) == 6
+
+
 # -- suite, replayability -------------------------------------------------------
 
 

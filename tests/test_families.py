@@ -5,6 +5,7 @@ import pytest
 from edgeprim import (
     CosetGraphSpec,
     FiniteField,
+    Permutation,
     agammal1,
     agl1,
     automorphism_group,
@@ -170,7 +171,7 @@ def test_coset_graph_round_trip_reconstruction():
     h = g.point_stabilizer(u)
     conn = element_mapping(g, (u, v), (v, u))
     assert conn is not None and not h.contains(conn)
-    spec = CosetGraphSpec(group=g, subgroup=h, connector=conn)
+    spec = CosetGraphSpec(group=g, subgroup=h, connector=Permutation(conn))
     graph, _image = coset_graph(spec)
     assert graph.n == hw.n
     assert valency(graph) == valency(hw)

@@ -119,7 +119,7 @@ def test_automorphism_groups_of_named_graphs():
 def test_every_returned_generator_preserves_edges():
     for g in (petersen(), heawood()):
         group = automorphism_group(g)
-        for gen in group.generators:
+        for gen in group.gens:
             assert is_automorphism(g, gen)
 
 
@@ -392,7 +392,7 @@ def test_automorphism_group_of_projective_plane_incidence_graph(p):
     assert g.n == 2 * (p * p + p + 1) and valency(g) == p + 1
     group = automorphism_group(g)
     assert group.order == 2 * p**3 * (p**3 - 1) * (p**2 - 1)
-    assert all(is_automorphism(g, h) for h in group.generators)
+    assert all(is_automorphism(g, h) for h in group.gens)
     if p == 2:
         assert group.order == automorphism_group(heawood()).order == 336
 

@@ -31,7 +31,7 @@ def a5():
 def test_identity_only_generators():
     g = build_group([identity(4)])
     assert g.order == 1
-    assert g.contains(identity(4))
+    assert g.contains(identity(4).element)
 
 
 def test_empty_generators_rejected():
@@ -42,9 +42,9 @@ def test_empty_generators_rejected():
 def test_s5_order_and_membership():
     g = s5()
     assert g.order == 120
-    assert g.contains(from_cycles(5, [(0, 1, 2)]))
+    assert g.contains(from_cycles(5, [(0, 1, 2)]).element)
     with pytest.raises(ValueError):
-        g.contains(identity(6))
+        g.contains(identity(6).element)
 
 
 def test_psl27_order_equals_exhaustive_closure():
@@ -60,7 +60,7 @@ def test_psl27_order_equals_exhaustive_closure():
 def test_cyclic_group_membership():
     g = build_group([from_cycles(5, [(0, 1, 2, 3, 4)])])
     assert g.order == 5
-    assert not g.contains(from_cycles(5, [(0, 1)]))
+    assert not g.contains(from_cycles(5, [(0, 1)]).element)
 
 
 def test_order_matches_exhaustive_closure_on_random_generator_sets():
@@ -105,7 +105,7 @@ def test_sifting_soundness_on_generator_words():
         word = identity(5)
         for _ in range(rng.randint(1, 5)):
             word = compose(word, rng.choice(gens))
-        assert g.contains(word)
+        assert g.contains(word.element)
 
 
 def test_deterministic_rebuild():
@@ -160,25 +160,25 @@ def test_perfect_core():
 def test_normal_closure_seed_validation():
     g = a5()
     with pytest.raises(ValueError):
-        normal_closure(g, [from_cycles(5, [(0, 1)])])
+        normal_closure(g, [from_cycles(5, [(0, 1)]).element])
 
 
 def test_normal_closure_of_three_cycle_in_s5():
-    n = normal_closure(s5(), [from_cycles(5, [(0, 1, 2)])])
+    n = normal_closure(s5(), [from_cycles(5, [(0, 1, 2)]).element])
     assert n.order == 60
 
 
 def test_element_mapping():
     g = s5()
     p = element_mapping(g, (0, 1, 2), (2, 3, 4))
-    assert p is not None and p(0) == 2 and p(1) == 3 and p(2) == 4
+    assert p is not None and p[0] == 2 and p[1] == 3 and p[2] == 4
     z5 = build_group([from_cycles(5, [(0, 1, 2, 3, 4)])])
     assert element_mapping(z5, (0, 1), (1, 0)) is None
 
 
 def test_reduce_generators_preserves_group():
     g = s5()
-    many = build_group(list(g.generators) + list(g.strong_generators))
+    many = build_group(list(g.generators) + list(map(Permutation, g.strong_gens)))
     reduced = reduce_generators(many)
     assert reduced.order == 120
     assert len(reduced.generators) <= len(many.generators)
@@ -187,6 +187,41 @@ def test_reduce_generators_preserves_group():
 def test_trivial_group():
     t = trivial_group(3)
     assert t.order == 1 and t.degree == 3
+
+
+def _coset_image():
+    from edgeprim import CosetGraphSpec, coset_graph
+
+    a5_ = a5()
+    a4 = build_group([from_cycles(5, [(0, 1, 2)]), from_cycles(5, [(1, 2, 3)])])
+    connector = from_cycles(5, [(0, 1), (3, 4)])
+    return coset_graph(CosetGraphSpec(group=a5_, subgroup=a4, connector=connector))[1]
+
+
+BOUNDARY_GROUPS = {
+    "degree 5": lambda request: s5(),
+    "degree 300": lambda request: build_group(
+        [from_cycles(300, [tuple(range(5))]), from_cycles(300, [(0, 1)])]
+    ),
+    "PSL(2,13)": lambda request: derived_subgroup(pgl2(13)),
+    "pointwise stabilizer": lambda request: pgl2(7).pointwise_stabilizer((3, 5)),
+    "Aut(HS)": lambda request: request.getfixturevalue("hs_aut"),
+    "coset graph image": lambda request: _coset_image(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_GROUPS))
+def test_generators_view_hands_back_the_kernel_generators(name, request):
+    # Inside the package a group keeps kernel elements; the generators view
+    # is the one place they leave as validated permutations, in order, and
+    # rebuilding from it writes the same group file.
+    from edgeprim.fileio import group_to_text
+
+    g = BOUNDARY_GROUPS[name](request)
+    assert all(type(p) is Permutation for p in g.generators)
+    assert [p.images for p in g.generators] == [tuple(e) for e in g.gens]
+    assert g.generators is g.generators
+    assert group_to_text(build_group(g.generators)) == group_to_text(g)
 
 
 @pytest.mark.parametrize("family", ["s5", "pgl2-7"])
@@ -213,20 +248,26 @@ def test_chain_is_the_same_on_both_sides_of_the_byte_kernel(family):
     summaries = []
     for n in (250, 255, 256, 300):
         g = build_group([embed(p, n) for p in small.generators])
-        assert all(g.contains(embed(w, n)) for w in words)
+        assert all(g.contains(embed(w, n).element) for w in words)
         # Non-members: a transposition with a point the group fixes, and
         # for PGL(2,7) a transposition inside the projective line.
-        assert not g.contains(from_cycles(n, [(0, m)]))
-        assert not g.contains(from_cycles(n, [(0, 1), (m, n - 1)]))
+        assert not g.contains(from_cycles(n, [(0, m)]).element)
+        assert not g.contains(from_cycles(n, [(0, 1), (m, n - 1)]).element)
         if family == "pgl2-7":
-            assert not g.contains(from_cycles(n, [(0, 1)]))
+            assert not g.contains(from_cycles(n, [(0, 1)]).element)
+        # Returned elements index like image tuples on both sides of 255.
+        mapping = element_mapping(g, (0, 1), (1, 2))
+        classes = conjugacy_classes(g)
+        assert mapping[0] == 1 and mapping[1] == 2 and tuple(mapping[m:]) == tuple(range(m, n))
         summaries.append((
             g.base,
             g.order,
             [[(b, tuple(t[:m])) for b, t in trans.items()] for trans in g.transversals],
-            [s.images[:m] for s in g.strong_generators],
-            sorted(size for _rep, size in conjugacy_classes(g)),
+            [tuple(s[:m]) for s in g.strong_gens],
+            sorted(size for _rep, size in classes),
             len(elements(g)),
+            [mapping[x] for x in range(m)],
+            [[rep[x] for x in range(m)] for rep, _size in classes],
         ))
     assert all(s == summaries[0] for s in summaries[1:])
     assert summaries[0][1] == summaries[0][5] == small.order
@@ -325,13 +366,12 @@ def test_bounded_pointwise_stabilizer_sifts_less(monkeypatch):
     # stabilizer is rebuilt, bounded by the group's order.
     from edgeprim.families import pgl2
     from edgeprim.groups import _Chain
-    from edgeprim.perms import _kernel
 
     line = pgl2(7)
     g = build_group([Permutation(p.images + tuple(8 + x for x in p.images))
                      for p in line.generators])
     assert g.order == line.order and g.orbit(g.base[0]) == tuple(range(8))
-    strong = [_kernel(g.degree).element(s.images) for s in g.strong_generators]
+    strong = list(g.strong_gens)
     sifted = _count_sifts(monkeypatch)
     prefix = (11, 13)
     unbounded = _Chain(g.degree, prefix, strong)

@@ -39,8 +39,8 @@ def sample_groups():
 
 def test_generators_and_identity_pass_contains():
     for g in sample_groups():
-        assert g.contains(identity(g.degree))
-        for gen in g.generators:
+        assert g.contains(identity(g.degree).element)
+        for gen in g.gens:
             assert g.contains(gen)
 
 

@@ -51,7 +51,7 @@ def test_normalizer_and_centralizer_match_brute_on_random_subgroups():
                 assert got.order == len(brute(set(ambient), sub_elements))
                 rebuilt = build_group(got.generators)
                 assert rebuilt.base == got.base
-                assert rebuilt.strong_generators == got.strong_generators
+                assert rebuilt.strong_gens == got.strong_gens
 
 
 def _symmetric(n):
@@ -131,5 +131,5 @@ def test_maximality_matches_subgroup_lattice_of_s4():
         sub = build_group([Permutation(g) for g in sorted(sub_elements)])
         # Maximal iff the action on the cosets is primitive.
         table = CosetTable(s4, sub)
-        cosets = build_group(Permutation(table.image_of(g.images)) for g in s4.generators)
+        cosets = build_group(Permutation(table.image_of(g)) for g in s4.gens)
         assert is_primitive(cosets)[0] == brute_maximal
