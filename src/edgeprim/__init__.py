@@ -50,8 +50,6 @@ from .graphs import (
     arc_kernel,
     automorphism_group,
     build_graph,
-    diameter,
-    girth,
     is_connected,
     local_action,
     valency,

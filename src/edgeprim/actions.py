@@ -58,22 +58,15 @@ def is_transitive(group: Group) -> bool:
 
 
 def is_k_transitive(group: Group, k: int) -> bool:
-    """Exact k-transitivity via iterated point stabilizers, k <= 5."""
+    """Exact k-transitivity, k <= 5: on the chain rebased onto 0..k-1, level
+    i is the orbit of i under the stabilizer of 0..i-1, so it must hold all
+    n - i points not yet fixed."""
     if not 1 <= k <= 5:
         raise ValueError("k must be between 1 and 5")
     if group.degree < k:
         return False
-    current = group
-    remaining = list(range(group.degree))
-    for fixed in range(k):
-        orbit = set(current.orbit(remaining[0]))
-        if not all(x in orbit for x in remaining):
-            return False
-        current = current.point_stabilizer(remaining[0])
-        remaining = remaining[1:]
-        if not remaining:
-            break
-    return True
+    chain = group.rebase(range(k))
+    return all(len(t) == group.degree - i for i, t in enumerate(chain.transversals[:k]))
 
 
 def is_frobenius(group: Group) -> bool:

@@ -134,6 +134,8 @@ class Analysis:
     ) -> None:
         if graph is not None:
             check_preserves_edges(graph, group)
+            # Every stabilizer of the analysed edge is then a chain read.
+            group = group.rebase(graph.edges[0] if graph.edges else ())
         self.group = group
         self.graph = graph
         self.inputs = dict(inputs or {})

@@ -18,9 +18,10 @@ from .groups import Group, ScaleLimitError, build_group
 from .graphs import AUTOMORPHISM_VERTEX_CAP, Graph, build_graph
 from .families import COSET_INDEX_CAP
 
-# The largest graph this package writes or searches: coset graphs from
-# ``construct`` reach COSET_INDEX_CAP vertices, and ``analyze --group``
-# reads them back without automorphism search.
+# The largest graph this package writes or searches, and the largest
+# degree of a group file it reads: coset graphs from ``construct`` reach
+# COSET_INDEX_CAP vertices, and ``analyze --group`` reads them back without
+# automorphism search.
 GRAPH_VERTEX_CAP = max(AUTOMORPHISM_VERTEX_CAP, COSET_INDEX_CAP)
 
 
@@ -115,6 +116,8 @@ def write_group(group: Group, path: str | Path) -> None:
 
 
 def parse_group(text: str, source: str | Path = "<string>") -> Group:
+    """Parse a group file; a degree above :data:`GRAPH_VERTEX_CAP` raises
+    :class:`ScaleLimitError` before any generator is read."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "group":
         raise FileFormatError(source, 1, "expected 'group' header")
@@ -133,6 +136,11 @@ def parse_group(text: str, source: str | Path = "<string>") -> Group:
             degree = int(parts[1])
             if degree < 1:
                 raise FileFormatError(source, num, "degree must be positive")
+            if degree > GRAPH_VERTEX_CAP:
+                raise ScaleLimitError(
+                    f"{source}:{num}: group has degree {degree}, above the cap of "
+                    f"{GRAPH_VERTEX_CAP}"
+                )
         elif parts[0] == "g":
             if degree is None:
                 raise FileFormatError(source, num, "generator before 'degree' line")

@@ -110,47 +110,6 @@ def is_connected(graph: Graph) -> bool:
     return len(seen) == graph.n
 
 
-def girth(graph: Graph) -> int | float:
-    """Length of a shortest cycle; infinity for forests (BFS per vertex)."""
-    best: int | float = float("inf")
-    for root in range(graph.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for y in graph.adjacency[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif parent[x] != y:
-                    best = min(best, dist[x] + dist[y] + 1)
-    return best
-
-
-def diameter(graph: Graph) -> int | float:
-    """Largest eccentricity; infinity when disconnected."""
-    best = 0
-    for root in range(graph.n):
-        dist = {root: 0}
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for y in graph.adjacency[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        if len(dist) != graph.n:
-            return float("inf")
-        best = max(best, max(dist.values()))
-    return best
-
-
 def is_bipartition(graph: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """A 2-coloring as (part0, part1), or None if the graph is not bipartite."""
     color: dict[int, int] = {}

@@ -35,25 +35,28 @@ Only orders already proved may be passed: the order of the group being
 rebased, or the order of an ambient group as an upper bound for a subgroup
 or an image, where reaching it proves the result is the whole group.
 
-Stabilizers of base images.  For g in G, the pointwise stabilizer of
-g(base[:j]) is the conjugate g^-1 G_(base[:j]) g (read left to right:
-g^-1, then a stabilizer element, then g).  Conjugating the chain's levels
-from j on by g gives a chain of it: base g(base[j:]), and every strong
-generator, transversal element and inverse table h replaced by g^-1 h g,
-with each transversal keyed on g's images (Seress 2003, ch. 5).  A walk
-down the inverse tables finds the longest such j for given points, with a
-g.  It is exact: if g_i sends base[:i] to points[:i], the elements that do
-so are the products h g_i with h in G_(base[:i]), whose images of base[i]
-are g_i of level i's orbit; so points[i] can be reached iff
-g_i^-1(points[i]) lies in that orbit, and the level's transversal holds an
-element for every point of it.  A base image therefore needs no
-Schreier-Sims run, and any other points are rebased from the conjugate of
-the longest stabilizer walked, bounded by its order.
+Rebasing.  :meth:`Group.rebase` moves the chain onto given points, and
+every stabilizer and element mapping here is read off the moved chain.  A
+walk down the inverse tables finds the longest j with some g in G sending
+base[:j] to points[:j], and g.  It is exact: if g_i sends base[:i] to
+points[:i], the elements that do so are the products h g_i with h in
+G_(base[:i]), whose images of base[i] are g_i of level i's orbit; so
+points[i] can be reached iff g_i^-1(points[i]) lies in that orbit, and the
+level's transversal holds an element for every point of it.  Since
+g^-1 G g = G, conjugating every level by g (read left to right: g^-1, then
+h, then g) gives a chain of the same group with base g(base): every strong
+generator, transversal element and inverse table h becomes g^-1 h g, with
+each transversal keyed on g's images (Seress 2003, ch. 5).  Its levels from
+j on are the stabilizer of points[:j]; when the walk stops short, one chain
+bounded by that stabilizer's order moves them onto the remaining points.
+A base image thus needs no Schreier-Sims run, and the base itself no
+conjugation either.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -300,89 +303,94 @@ class Group:
             remaining -= set(o)
         return tuple(out)
 
-    def point_stabilizer(self, point: int) -> "Group":
-        self._check_point(point)
-        return self.pointwise_stabilizer((point,))
-
-    def pointwise_stabilizer(self, points: Sequence[int]) -> "Group":
-        """The stabilizer of every given point.
-
-        When the points are g(base[:j]) this is g^-1 G_(base[:j]) g, read
-        off this chain's levels from j on (shared outright when g is the
-        identity).  Otherwise one known-order chain rebases the conjugate of
-        the longest such stabilizer onto the remaining points.
-        """
+    def rebase(self, points: Sequence[int]) -> "Group":
+        """The same group (same ``gens``) on a chain whose base starts with
+        the given points, duplicates dropped; this group itself when its
+        base already does (see the module docstring)."""
         for p in points:
             self._check_point(p)
         prefix = tuple(dict.fromkeys(points))
         k = _kernel(self.degree)
         j, g_inv = _walk(k, self._inverse_tables, prefix)
-        fixed = self.base[:j]
-        fixing = [s for s in self.strong_gens if all(s[b] == b for b in fixed)]
-        if j == len(prefix) and g_inv == k.identity:
-            strong = tuple(fixing) or (k.identity,)
-            return Group(
-                degree=self.degree,
-                gens=strong,
-                base=self.base[j:],
-                strong_gens=strong,
-                transversals=self.transversals[j:],
-                _inverse_tables=self._inverse_tables[j:],
+        whole = j == len(prefix)
+        if whole and g_inv == k.identity:
+            return self
+        kept = len(self.base) if whole else j
+        base, strong = self.base[:kept], self.strong_gens
+        transversals, inverses = self.transversals[:kept], self._inverse_tables[:kept]
+        if g_inv != k.identity:
+            g = k.table(k.inverse(g_inv))
+
+            def conj(h_table):
+                return k.mul(k.mul(g_inv, h_table), g)
+
+            base = tuple(g[b] for b in base)
+            strong = tuple(conj(k.table(s)) for s in strong)
+            transversals = tuple(
+                {g[b]: conj(k.table(t)) for b, t in trans.items()} for trans in transversals
             )
-        g = k.table(k.inverse(g_inv))
-
-        def conj(h_table):
-            return k.mul(k.mul(g_inv, h_table), g)
-
-        strong = [conj(k.table(s)) for s in fixing]
-        if j < len(prefix):
-            tail_order = math.prod(len(t) for t in self.transversals[j:])
-            chain = _Chain(self.degree, prefix[j:], strong, tail_order)
-            return chain.suffix_group(len(prefix) - j)
-        strong = tuple(strong) or (k.identity,)
-        transversals, inverses = [], []
-        for trans, inv in zip(self.transversals[j:], self._inverse_tables[j:]):
-            transversals.append({g[b]: conj(k.table(t)) for b, t in trans.items()})
-            inverses.append({g[b]: k.table(conj(t_inv)) for b, t_inv in inv.items()})
+            inverses = tuple(
+                {g[b]: k.table(conj(t_inv)) for b, t_inv in inv.items()} for inv in inverses
+            )
+        if not whole:
+            tail = [s for s in strong if all(s[b] == b for b in base)]
+            order = math.prod(len(t) for t in self.transversals[j:])
+            chain = _Chain(self.degree, prefix[j:], tail, order)
+            strong = tuple([s for s in strong if s not in tail] + chain.strong_elements(0))
+            base += tuple(chain.points)
+            transversals += tuple(chain.transversals)
+            inverses += tuple(chain.inverses)
         return Group(
-            degree=self.degree,
-            gens=strong,
-            base=tuple(g[b] for b in self.base[j:]),
-            strong_gens=strong,
-            transversals=tuple(transversals),
-            _inverse_tables=tuple(inverses),
+            degree=self.degree, gens=self.gens, base=base, transversals=transversals,
+            strong_gens=strong or (k.identity,), _inverse_tables=inverses,
+        )
+
+    def point_stabilizer(self, point: int) -> "Group":
+        return self.pointwise_stabilizer((point,))
+
+    def pointwise_stabilizer(self, points: Sequence[int]) -> "Group":
+        """The stabilizer of every given point: the levels of
+        :meth:`rebase` after them."""
+        prefix = tuple(dict.fromkeys(points))
+        chain, m = self.rebase(prefix), len(prefix)
+        strong = tuple(s for s in chain.strong_gens if all(s[p] == p for p in prefix))
+        strong = strong or (_kernel(self.degree).identity,)
+        return Group(
+            degree=self.degree, gens=strong, base=chain.base[m:], strong_gens=strong,
+            transversals=chain.transversals[m:], _inverse_tables=chain._inverse_tables[m:],
         )
 
     def setwise_stabilizer(self, points: Sequence[int]) -> "Group":
-        """Exact stabilizer of a small set of points.
+        """Exact stabilizer of a small set of points p_0 < ... < p_{m-1}.
 
-        The pointwise stabilizer is extended by one coset representative for
-        each realizable permutation pattern of the set, found by backtrack
-        over the chain.  For a 2-set this is the pointwise stabilizer plus at
-        most one swapping element, so the index over the pointwise stabilizer
-        is 1 or 2.
+        On the chain rebased onto them, one walk per ordering of the set
+        finds the orderings that elements realize.  The elements fixing
+        p_0..p_{i-1} send p_i exactly where the realized orderings starting
+        with p_0..p_{i-1} do, so one such element per point reached gives
+        level i, and the levels of the pointwise stabilizer follow.
         """
-        import itertools
-
-        pts = sorted(set(points))
+        pts = tuple(sorted(set(points)))
         if not pts:
             raise ValueError("setwise stabilizer of the empty set is not supported")
-        for p in pts:
-            self._check_point(p)
-        fixing = self.pointwise_stabilizer(pts)
-        gens = list(fixing.gens)
-        src = tuple(pts)
-        patterns = 1
+        chain, m = self.rebase(pts), len(pts)
+        fixing = chain.pointwise_stabilizer(pts)
+        k = _kernel(self.degree)
+        # Per level, the inverse of one element for each point reached.
+        levels = [{p: k.identity} for p in pts]
         for image in itertools.permutations(pts):
-            if image == src:
-                continue
-            rep = element_mapping(self, src, image)
-            if rep is not None:
-                gens.append(rep)
-                patterns += 1
-        # Each realized pattern is one coset of the pointwise stabilizer.
-        order = fixing.order * patterns
-        return _Chain(self.degree, (), gens, order).suffix_group(0, gens)
+            j, g_inv = _walk(k, chain._inverse_tables, image)
+            i = next((i for i in range(m) if image[i] != pts[i]), m)
+            if j == m and i < m:
+                levels[i].setdefault(image[i], g_inv)
+        trans = tuple({q: k.inverse(g_inv) for q, g_inv in lvl.items()} for lvl in levels)
+        inverses = tuple({q: k.table(g_inv) for q, g_inv in lvl.items()} for lvl in levels)
+        moving = tuple(t for lvl in trans for t in lvl.values() if t != k.identity)
+        strong = moving + fixing.gens
+        return Group(
+            degree=self.degree, gens=strong, base=pts + fixing.base, strong_gens=strong,
+            transversals=trans + fixing.transversals,
+            _inverse_tables=inverses + fixing._inverse_tables,
+        )
 
     def _check_point(self, point: int) -> None:
         if not 0 <= point < self.degree:
@@ -424,28 +432,15 @@ def trivial_group(degree: int) -> Group:
 
 def element_mapping(group: Group, src: Sequence[int], dst: Sequence[int]):
     """Some g in the group with src[i]^g = dst[i] for all i, as a kernel
-    element, or None.
-
-    When src is an image of the base, g_src^-1 g_dst from two walks down
-    the group's chain; otherwise dst is walked down one chain rebased onto
-    src.
-    """
+    element, or None: dst walked down the group rebased onto src."""
     if len(src) != len(dst):
         raise ValueError("src and dst must have equal length")
     pairs = dict(zip(src, dst))
     if [pairs[s] for s in src] != list(dst):
         return None
-    src, dst = tuple(pairs), tuple(pairs.values())
     k = _kernel(group.degree)
-    inverses = group._inverse_tables
-    j, src_inv = _walk(k, inverses, src)
-    if j < len(src):
-        chain = _Chain(group.degree, src, group.strong_gens, group.order)
-        inverses, src_inv = chain.inverses, k.identity
-    j, dst_inv = _walk(k, inverses, dst)
-    if j < len(dst):
-        return None
-    return k.mul(src_inv, k.table(k.inverse(dst_inv)))
+    j, g_inv = _walk(k, group.rebase(tuple(pairs))._inverse_tables, tuple(pairs.values()))
+    return k.inverse(g_inv) if j == len(pairs) else None
 
 
 def _walk(k, inverses: Sequence[dict], points: Sequence[int]):

@@ -228,8 +228,8 @@ def is_simple(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
 
     Pruning.  An element commuting with H_beta permutes Fix(H_beta), which
     holds beta.  Writing an element of H t_beta as c = h u_gamma t_beta,
-    with h in H_beta and u_gamma the element of the local chain's
-    transversal sending beta to gamma, gives beta^c = gamma^(t_beta).  So
+    with h in H_beta and u_gamma the element sending beta to gamma in the
+    transversal of H rebased at beta, gives beta^c = gamma^(t_beta).  So
     only the points gamma of beta's H-orbit whose image under t_beta is a
     point of Fix(H_beta) other than beta are walked, each over the
     elements h of H_beta.
@@ -274,11 +274,12 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
         beta = orbit[0]
         if beta == b or beta not in to:
             continue
-        local = _Chain(group.degree, (beta,), stab.strong_gens, stab.order)
+        local = stab.rebase((beta,))
         home.update(
-            (y, (u, local.inverses[0][y])) for y, u in local.transversals[0].items()
+            (y, (u, local._inverse_tables[0][y])) for y, u in local.transversals[0].items()
         )
-        commuting = local.strong_elements(1)
+        stab_beta = local.point_stabilizer(beta)
+        commuting = stab_beta.strong_gens
         t = to[beta]
         # u_gamma t_beta for each gamma whose image under t_beta is a
         # point of Fix(H_beta) other than beta.
@@ -288,7 +289,7 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
             if t[gamma] != beta and all(h[t[gamma]] == t[gamma] for h in commuting)
         ]
         if starts:
-            cosets.append((local.suffix_group(1), starts, list(map(table, commuting))))
+            cosets.append((stab_beta, starts, list(map(table, commuting))))
     passed: set = set()
     for stab_beta, starts, commuting in cosets:
         for start in starts:

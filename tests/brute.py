@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's stabilizer-chain machinery: closure
 is plain breadth-first multiplication, block search enumerates set
-partitions, and automorphism counting filters all n! permutations.
+partitions, automorphism counting filters all n! permutations, and girth
+and diameter come from a breadth-first search at every vertex.
 """
 
 from __future__ import annotations
@@ -88,6 +89,47 @@ def brute_automorphisms(n: int, edges: list[tuple[int, int]]) -> list[tuple[int,
         if ok:
             out.append(p)
     return out
+
+
+def girth(graph) -> int | float:
+    """Length of a shortest cycle; infinity for forests (BFS per vertex)."""
+    best: int | float = float("inf")
+    for root in range(graph.n):
+        dist = {root: 0}
+        parent = {root: -1}
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            x = queue[head]
+            head += 1
+            for y in graph.adjacency[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    queue.append(y)
+                elif parent[x] != y:
+                    best = min(best, dist[x] + dist[y] + 1)
+    return best
+
+
+def diameter(graph) -> int | float:
+    """Largest eccentricity; infinity when disconnected."""
+    best = 0
+    for root in range(graph.n):
+        dist = {root: 0}
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            x = queue[head]
+            head += 1
+            for y in graph.adjacency[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        if len(dist) != graph.n:
+            return float("inf")
+        best = max(best, max(dist.values()))
+    return best
 
 
 def assert_valid_chain(group, points) -> None:

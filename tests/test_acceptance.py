@@ -17,7 +17,6 @@ from edgeprim import (
     build_group,
     complete_bipartite,
     complete_graph,
-    girth,
     heawood,
     hoffman_singleton,
     is_edge_primitive,
@@ -38,7 +37,7 @@ from edgeprim import (
 from edgeprim import Permutation, agl1, from_cycles, is_transitive
 from edgeprim.certify import NORMAL_SWEEP_BOUND, PASS
 from edgeprim.cli import main as cli_main
-from brute import brute_automorphisms, brute_closure, brute_is_primitive
+from brute import brute_automorphisms, brute_closure, brute_is_primitive, girth
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

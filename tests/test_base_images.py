@@ -1,22 +1,24 @@
-"""Pointwise stabilizers, element mappings and the walk down a chain
-against brute force, on seeded small groups (transitive and intransitive)
-and on both sides of the byte kernel.
+"""Rebased chains, pointwise and setwise stabilizers, element mappings,
+k-transitivity and the walk down a chain against brute force, on seeded
+small groups (transitive and intransitive) and on both sides of the byte
+kernel.
 
-The stabilizer of an image of the base is read off the chain by
-conjugation; any other prefix is rebuilt.  Each prefix below is classed by
-how far it walks (all of it, part of it, none of it), and every class must
-occur, so both paths are compared with the oracle.
+A chain is rebased onto an image of the base by conjugation; past the
+longest image walked, the rest is rebuilt.  Each prefix below is classed
+by how far it walks (all of it, part of it, none of it), and every class
+must occur, so both paths are compared with the oracle.
 """
 
+import math
 import random
 
 import pytest
 
-from edgeprim import Permutation, build_group, element_mapping, from_cycles
+from edgeprim import Permutation, build_group, element_mapping, from_cycles, is_k_transitive
 from edgeprim.families import pgl2
 from edgeprim.groups import _walk
 from edgeprim.perms import _kernel
-from brute import assert_valid_chain, brute_closure, inverse_t
+from brute import assert_valid_chain, brute_closure, brute_setwise_stabilizer, inverse_t
 
 
 def _dihedral(m, copies):
@@ -117,6 +119,14 @@ def test_stabilizers_and_mappings_match_brute_force(name):
         assert g in members
         assert all(g[b] == p for b, p in zip(group.base, points[:j]))
 
+        rebased = group.rebase(points)
+        assert rebased.gens == group.gens and rebased.order == group.order
+        assert rebased.base[: len(points)] == tuple(dict.fromkeys(points))
+        assert_valid_chain(rebased, ())
+        others = [tuple(rng.sample(range(group.degree), group.degree)) for _ in range(5)]
+        for e in rng.sample(elements, min(len(elements), 50)) + others:
+            assert rebased.contains(k.element(e)) == (e in members)
+
         stab = group.pointwise_stabilizer(points)
         fixing = {e for e in elements if all(e[p] == p for p in points)}
         assert stab.order == len(fixing)
@@ -124,6 +134,14 @@ def test_stabilizers_and_mappings_match_brute_force(name):
         assert {tuple(s) for s in stab.strong_gens} <= members
         for e in rng.sample(elements, min(len(elements), 200)):
             assert stab.contains(k.element(e)) == (e in fixing)
+
+        setwise = group.setwise_stabilizer(set(points))
+        keeping = brute_setwise_stabilizer(members, set(points))
+        assert setwise.order == len(keeping)
+        assert_valid_chain(setwise, ())
+        assert {tuple(s) for s in setwise.strong_gens} <= keeping
+        for e in rng.sample(elements, min(len(elements), 200)):
+            assert setwise.contains(k.element(e)) == (e in keeping)
 
         for dst in (tuple(rng.choice(elements)[p] for p in points),
                     tuple(rng.sample(range(group.degree), len(points)))):
@@ -135,6 +153,11 @@ def test_stabilizers_and_mappings_match_brute_force(name):
                 assert all(found[s] == d for s, d in zip(points, dst))
     transitive = len(group.orbits()) == 1
     assert walked >= ({"all", "part"} if transitive else {"all", "part", "none"})
+    if group.degree <= 16:
+        for t in (1, 2, 3):
+            # Transitive on ordered t-tuples of distinct points.
+            images = {e[:t] for e in elements}
+            assert is_k_transitive(group, t) == (len(images) == math.perm(group.degree, t))
 
 
 def test_identity_walk_shares_the_chain_tail():

@@ -369,6 +369,17 @@ def test_group_blocks_on_a_single_point_is_a_usage_error(tmp_path, capsys):
     assert captured.err == "error: domain must have at least 2 points\n"
 
 
+def test_group_file_above_the_degree_cap_is_a_scale_limit(tmp_path, capsys):
+    path = tmp_path / "big.group"
+    path.write_text("group\ndegree 10001\ng 0\n")
+    assert run(["group", "--group", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"scale limit: {path}:2: group has degree 10001, above the cap of 10000\n"
+    )
+
+
 def _usage_error(argv, capsys):
     """Run argv, expect exit 2 and exactly one stderr line, an `error: ` one."""
     capsys.readouterr()

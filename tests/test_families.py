@@ -14,10 +14,8 @@ from edgeprim import (
     complete_graph,
     coset_graph,
     cycle_graph,
-    diameter,
     from_cycles,
     gf,
-    girth,
     heawood,
     is_connected,
     is_frobenius,
@@ -28,6 +26,7 @@ from edgeprim import (
     restrict_to_invariant_set,
     valency,
 )
+from brute import diameter, girth
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)]
 

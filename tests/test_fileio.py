@@ -91,6 +91,16 @@ def test_group_parse_errors():
         parse_group("group\ndegree 3\n", "bad.group")
 
 
+def test_group_degree_cap_is_checked_before_any_generator():
+    # A chain costs memory quadratic in the degree, so the degree line is
+    # refused before a generator is read, here a malformed one.
+    with pytest.raises(ScaleLimitError) as exc:
+        parse_group("group\ndegree 10001\ng 0\n", "huge.group")
+    assert str(exc.value) == "huge.group:2: group has degree 10001, above the cap of 10000"
+    identity = " ".join(map(str, range(10**4)))
+    assert parse_group(f"group\ndegree 10000\ng {identity}\n").order == 1
+
+
 def test_coset_spec_reader(tmp_path):
     s4 = build_group([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])])
     write_group(s4, tmp_path / "s4.group")

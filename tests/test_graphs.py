@@ -12,9 +12,7 @@ from edgeprim import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    diameter,
     from_cycles,
-    girth,
     heawood,
     is_connected,
     local_action,
@@ -28,7 +26,7 @@ from edgeprim.graphs import (
     is_star,
     iter_s_arcs,
 )
-from brute import brute_automorphisms, brute_s_arc_count
+from brute import brute_automorphisms, brute_s_arc_count, diameter, girth
 
 
 def test_build_graph_validation():
@@ -413,7 +411,8 @@ def test_chain_base_starts_with_the_first_edge(hs_graph, hs_aut):
 
 def test_arc_stabilizers_on_hoffman_singleton_are_chain_reads(hs_graph, hs_aut, monkeypatch):
     # The arc and the 1- and 2-arc stabilizers of s-degree (s_cap 2 skips
-    # the s = 8 probe) are base images, so no Schreier-Sims runs.
+    # the s = 8 probe) are base images, and the edge stabilizer is read off
+    # the arc's, so no Schreier-Sims runs.
     from edgeprim import Analysis, RunConfig, s_transitivity_degree
     from edgeprim.groups import _Chain
 
@@ -422,9 +421,40 @@ def test_arc_stabilizers_on_hoffman_singleton_are_chain_reads(hs_graph, hs_aut, 
     monkeypatch.setattr(_Chain, "sift", lambda *args: sifts.append(1) or sift(*args))
     analysis = Analysis(hs_aut, hs_graph, config=RunConfig(s_cap=2))
     assert analysis.arc_stabilizer.order == 720
+    assert analysis.edge_stabilizer.order == 1440
     cert = s_transitivity_degree(analysis)
     assert [row["stabilizer_order"] for row in cert.evidence["ladder"]] == [720, 120]
     assert sifts == []
+
+
+@pytest.mark.parametrize("name", ["heawood", "hoffman-singleton"])
+def test_a_group_file_is_rebased_at_the_analysed_edge(name, hs_graph, hs_aut, monkeypatch):
+    # A group read from a file has a chain on its smallest moved points,
+    # (2, 1) on Heawood and (5, 3) on Hoffman-Singleton; Analysis moves it
+    # onto the analysed edge once, so both of its stabilizers are reads.
+    from edgeprim import Analysis
+    from edgeprim.cli import CHECKS
+    from edgeprim.fileio import group_to_text, parse_group
+    from edgeprim.groups import _Chain
+
+    graph = hs_graph if name == "hoffman-singleton" else heawood()
+    searched = hs_aut if graph is hs_graph else automorphism_group(graph)
+    read = parse_group(group_to_text(searched))
+    assert read.base[:2] != graph.edges[0]
+    analysis = Analysis(read, graph)
+    assert analysis.group.base[:2] == graph.edges[0]
+    assert analysis.group.gens == read.gens and analysis.group.order == read.order
+    sifts = []
+    sift = _Chain.sift
+    monkeypatch.setattr(_Chain, "sift", lambda *args: sifts.append(1) or sift(*args))
+    assert 2 * graph.num_edges * analysis.arc_stabilizer.order == read.order
+    assert graph.num_edges * analysis.edge_stabilizer.order == read.order
+    assert sifts == []
+    monkeypatch.undo()
+    reference = Analysis(searched, graph)
+    assert reference.group is searched
+    for check in CHECKS.values():
+        assert check(analysis).to_dict() == check(reference).to_dict()
 
 
 @pytest.mark.parametrize("p", [7, 13])
