@@ -45,7 +45,7 @@ def restrict_to_invariant_set(group: Group, subset: Sequence[int]) -> Group:
     except KeyError as exc:
         raise ValueError(f"point set is not invariant: {exc} is outside it") from None
     # The image's order divides the group's; reaching it means faithful.
-    image = _Chain(len(points), (), gens, group.order).suffix_group(0, gens)
+    image = _Chain(len(points), (), gens, group.order).suffix_group(gens)
     if group.order % image.order != 0:
         raise AssertionError("image order must divide group order")
     return image

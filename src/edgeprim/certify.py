@@ -274,7 +274,7 @@ def _edge_kernel_order(group: Group, graph: Graph, images: list) -> int:
     is a matching, and the image on its edges is built.
     """
     if all(len(nbrs) < 2 for nbrs in graph.adjacency):
-        image = _Chain(graph.num_edges, (), images, group.order).suffix_group(0, images)
+        image = _Chain(graph.num_edges, (), images, group.order).suffix_group(images)
         return group.order // image.order
     covered = [v for v, nbrs in enumerate(graph.adjacency) if nbrs]
     return 1 if len(covered) == graph.n else group.pointwise_stabilizer(covered).order

@@ -429,14 +429,14 @@ def coset_graph(spec: CosetGraphSpec) -> tuple[Graph, Group]:
             )
 
     gens = sub.gens + (a,)
-    generated = _Chain(group.degree, (), gens, group.order).suffix_group(0, gens)
+    generated = _Chain(group.degree, (), gens, group.order).suffix_group(gens)
     if is_connected(graph) != (generated.order == group.order):
         raise AssertionError(
             "connectivity must match whether subgroup and connector generate"
         )
 
     image_gens = [table.image_of(g) for g in group.gens]
-    image = _Chain(index, (), image_gens, group.order).suffix_group(0, image_gens)
+    image = _Chain(index, (), image_gens, group.order).suffix_group(image_gens)
     return graph, image
 
 

@@ -389,7 +389,7 @@ def automorphism_group(graph: Graph) -> Group:
     # The chain's base starts with the first edge (repeats are dropped), so
     # the stabilizers of that edge and its arcs are read off the chain.
     first_edge = graph.edges[0] if graph.edges else ()
-    group = _Chain(n, first_edge + tuple(base), gens).suffix_group(0, gens)
+    group = _Chain(n, first_edge + tuple(base), gens).suffix_group(gens)
     expected = 1
     for size in level_orbits:
         expected *= size

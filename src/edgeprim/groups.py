@@ -213,24 +213,22 @@ class _Chain:
                 break
         return True
 
-    def strong_elements(self, k: int) -> list:
-        """The strong generators fixing points[:k], as elements."""
-        n = self.degree
-        return [g[:n] for g, lvl in zip(self.strong, self.level_of) if lvl >= k]
+    def strong_elements(self) -> list:
+        """The strong generators, as elements."""
+        return [g[: self.degree] for g in self.strong]
 
-    def suffix_group(self, k: int, generators: Sequence = ()) -> "Group":
-        """The stabilizer of points[:k] as a Group sharing this chain's tail,
-        generated by the elements ``generators`` if given, else by its
-        strong generators."""
-        strong = tuple(self.strong_elements(k)) or (self.identity,)
+    def suffix_group(self, generators: Sequence = ()) -> "Group":
+        """The chain frozen into a Group, generated by the elements
+        ``generators`` if given, else by its strong generators."""
+        strong = tuple(self.strong_elements()) or (self.identity,)
         return Group(
             degree=self.degree,
             gens=tuple(generators) or strong,
-            base=tuple(self.points[k:]),
+            base=tuple(self.points),
             strong_gens=strong,
             # Copied: a chain may grow after it is frozen.
-            transversals=tuple(map(dict, self.transversals[k:])),
-            _inverse_tables=tuple(map(dict, self.inverses[k:])),
+            transversals=tuple(map(dict, self.transversals)),
+            _inverse_tables=tuple(map(dict, self.inverses)),
         )
 
 
@@ -336,7 +334,7 @@ class Group:
             tail = [s for s in strong if all(s[b] == b for b in base)]
             order = math.prod(len(t) for t in self.transversals[j:])
             chain = _Chain(self.degree, prefix[j:], tail, order)
-            strong = tuple([s for s in strong if s not in tail] + chain.strong_elements(0))
+            strong = tuple([s for s in strong if s not in tail] + chain.strong_elements())
             base += tuple(chain.points)
             transversals += tuple(chain.transversals)
             inverses += tuple(chain.inverses)
@@ -423,11 +421,11 @@ def build_group(
         if g.degree != degree:
             raise ValueError(f"degree mismatch: {g.degree} != {degree}")
     elements = [g.element for g in gens]
-    return _Chain(degree, base_prefix, elements, order).suffix_group(0, elements)
+    return _Chain(degree, base_prefix, elements, order).suffix_group(elements)
 
 
 def trivial_group(degree: int) -> Group:
-    return _Chain(degree).suffix_group(0)
+    return _Chain(degree).suffix_group()
 
 
 def element_mapping(group: Group, src: Sequence[int], dst: Sequence[int]):
@@ -524,7 +522,7 @@ def normal_closure(group: Group, seeds: Iterable) -> Group:
                     new.append(conj)
         gens += new
         frontier = new
-    return chain.suffix_group(0, gens)
+    return chain.suffix_group(gens)
 
 
 def derived_subgroup(group: Group) -> Group:
@@ -574,4 +572,4 @@ def reduce_generators(group: Group) -> Group:
     """
     chain = _Chain(group.degree, order=group.order)
     chosen = [g for g in group.gens + group.strong_gens if chain.add_generator(g)]
-    return chain.suffix_group(0, chosen)
+    return chain.suffix_group(chosen)

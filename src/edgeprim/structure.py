@@ -5,10 +5,11 @@ Simplicity goes down the group's own stabilizer chain: at each level it
 walks only the cosets of two-point stabilizers that can hold a generator
 of a semiregular normal subgroup, picked out by their fixed points, and it
 computes no conjugacy classes (see :func:`is_simple`).  The centralizer of
-a transitive subgroup is built from a point stabilizer's fixed points with
-no enumeration at all.  Every entry point is still gated by an explicit
-cutoff (default 10^6): exceeding it raises :class:`ScaleLimitError`
-rather than returning a wrong or partial answer.
+a subgroup is a backtrack over the images of its orbit representatives,
+pruned down the group's chain (see :func:`centralizer`).  Every entry
+point is still gated by an explicit cutoff (default 10^6): exceeding it
+raises :class:`ScaleLimitError` rather than returning a wrong or partial
+answer.
 
 Every element taken or returned here is a kernel element of
 :mod:`edgeprim.perms`, not a ``Permutation``, which is only the boundary
@@ -95,65 +96,65 @@ def normalizer(
         if all(sub.contains(k.mul(k.mul(inv, h), p_table)) for h in sub_tables):
             chain.add_generator(p)
             gens.append(p)
-    return chain.suffix_group(0, gens)
+    return chain.suffix_group(gens)
 
 
 def centralizer(
     group: Group, sub: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF
 ) -> Group:
-    """C_group(sub).
+    """C_group(sub), by a backtrack over the images of orbit representatives.
 
-    A transitive sub has a semiregular centralizer in the symmetric group,
-    read off the fixed points of a point stabilizer and intersected with
-    the group (see :func:`_transitive_centralizer`).  Otherwise the
-    ambient group's elements are enumerated.  The cutoff gates both paths.
+    Let sub = T have orbits O_1..O_k with least points a_1..a_k.  An
+    element c of the group commuting with T has T_{c(a)} = T_a, so
+    b_i = c(a_i) is a point of a_i's orbit under the group, fixed by
+    T_{a_i}, whose T-orbit has |O_i| points (a_i, if it is the only one).
+    c(a_i^h) = b_i^h, built breadth-first over T's generators, is then a
+    bijection exactly when the b_i lie in distinct T-orbits (Seress,
+    *Permutation Group Algorithms*, 2003, section 6.1).  The other b_i are
+    chosen in turn down the group rebased onto their a_i, one walk step
+    per level, dropping a prefix that no element of the group realizes:
+    this is exact, and each level keeps at most |group| prefixes, so the
+    cutoff on the group's order bounds the search.  The maps in the group
+    generate C_group(T); the search stops once they generate the group.
     """
     if not is_subgroup(group, sub):
         raise ValueError("candidate is not a subgroup")
     _check_cutoff(group, cutoff, "centralizer")
-    if len(sub.orbit(0)) == sub.degree:
-        return _transitive_centralizer(group, sub)
-    k = _kernel(group.degree)
-    mul, table = k.mul, k.table
-    sub_tables = [h for _inverse, h in _conjugators(sub)]
-    gens = []
-    chain = _Chain(group.degree, order=group.order)
-    for p in _iter_elements_bytes(group):
-        if chain.full():
-            break
-        p_table = table(p)
-        if any(
-            mul(p_table, h) != mul(h, p_table) for h in sub_tables
-        ) or not chain.add_generator(p):
-            continue
-        gens.append(p)
-    return chain.suffix_group(0, gens)
-
-
-def _transitive_centralizer(group: Group, sub: Group) -> Group:
-    """C_group(sub) for sub transitive on all points, without enumeration.
-
-    With H = sub, a = 0 and F the fixed points of H_a, the centralizer of H
-    in the symmetric group is {c_b : b in F}, where c_b is the unique
-    permutation commuting with H that sends a to b: c_b(x^h) = b^h
-    (Seress, *Permutation Group Algorithms*, 2003, section 6.1).  Each c_b
-    is built by breadth-first search over the generators of H and checked
-    to be a bijection commuting with them; the members of the group among
-    them generate C_group(H).
-    """
     n = sub.degree
     k = _kernel(n)
-    alpha = 0
-    stab_gens = sub.point_stabilizer(alpha).gens
-    fixed = [b for b in range(n) if all(g[b] == b for g in stab_gens)]
+    orbits = sub.orbits()
+    orbit_of = {x: i for i, orbit in enumerate(orbits) for x in orbit}
+    reach = {x: orbit for orbit in group.orbits() for x in orbit}
+    firsts = [orbit[0] for orbit in orbits]
+    reps, choices = [], []
+    for a, orbit in zip(firsts, orbits):
+        # For a fixed point a, T_a = T fixes every point of a one-point orbit.
+        fixers = sub.point_stabilizer(a).strong_gens if len(orbit) > 1 else ()
+        choice = [
+            b for b in reach[a]
+            if len(orbits[orbit_of[b]]) == len(orbit) and all(h[b] == b for h in fixers)
+        ]
+        if len(choice) > 1:
+            reps.append(a)
+            choices.append(choice)
+    inverses = group.rebase(reps)._inverse_tables
     sub_gens = [g for _inverse, g in _conjugators(sub)]
-    kept = []
-    for beta in fixed:
-        if beta == alpha:
+    chain, kept = _Chain(n, order=group.order), []
+    # Depth first, so the maps are met in lexicographic order of the images.
+    stack = [((), k.identity)]
+    while stack and not chain.full():
+        images_of_reps, g_inv = stack.pop()
+        i = len(images_of_reps)
+        if i < len(reps):
+            used = {orbit_of[b] for b in images_of_reps}
+            for b in reversed(choices[i]):
+                u_inv = None if orbit_of[b] in used else inverses[i].get(g_inv[b])
+                if u_inv is not None:
+                    stack.append((images_of_reps + (b,), k.mul(g_inv, u_inv)))
             continue
-        images = [-1] * n
-        images[alpha] = beta
-        queue = [alpha]
+        starts = dict(zip(firsts, firsts)) | dict(zip(reps, images_of_reps))
+        images = [starts.get(x, -1) for x in range(n)]
+        queue = list(starts)
         for x in queue:
             for g in sub_gens:
                 y = g[x]
@@ -165,12 +166,12 @@ def _transitive_centralizer(group: Group, sub: Group) -> Group:
             k.mul(k.table(c), g) != k.mul(g, k.table(c)) for g in sub_gens
         ):
             raise AssertionError(
-                f"point {beta} is fixed by the stabilizer of {alpha} but gives "
-                "no centralizing permutation"
+                f"images {images_of_reps} of the orbit representatives {reps} "
+                "give no centralizing permutation"
             )
-        if group.contains(c):
+        if group.contains(c) and chain.add_generator(c):
             kept.append(c)
-    return _Chain(n, (), kept).suffix_group(0, kept)
+    return chain.suffix_group(kept)
 
 
 def conjugacy_classes(
@@ -343,7 +344,7 @@ def normal_subgroups(group: Group, bound: int = 10**5) -> list[Group]:
         for i in range(len(found)):
             for j in range(i + 1, len(found)):
                 gens = found[i].gens + found[j].gens
-                join = _Chain(group.degree, (), gens, group.order).suffix_group(0, gens)
+                join = _Chain(group.degree, (), gens, group.order).suffix_group(gens)
                 if not any(same_subgroup(join, seen) for seen in found):
                     found.append(join)
                     changed = True
@@ -377,7 +378,7 @@ def sylow_subgroup(
             y = _power(x, m // pp)
             if chain.add_generator(y):
                 gens.append(y)
-                current = chain.suffix_group(0, gens)
+                current = chain.suffix_group(gens)
                 grown = True
                 break
         if not grown:

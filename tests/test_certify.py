@@ -220,6 +220,20 @@ def test_almost_simple_fails_for_k33_aut():
     assert cert.verdict == FAIL
 
 
+@pytest.mark.parametrize(
+    "p, config", [(5, RunConfig()), (7, RunConfig(enumeration_cutoff=10**10))], ids=["5", "7"]
+)
+def test_almost_simple_on_the_incidence_graph_of_pg2(p, config):
+    # The core PSL(3,p) has two orbits, points and lines.
+    from test_graphs import _pg2_incidence
+
+    graph = _pg2_incidence(p)
+    cert = almost_simple_certificate(Analysis(automorphism_group(graph), graph, config=config))
+    assert cert.verdict == PASS
+    assert cert.evidence["centralizer_order"] == 1
+    assert cert.evidence["core_order"] == p**3 * (p**3 - 1) * (p**2 - 1) // math.gcd(3, p - 1)
+
+
 def test_almost_simple_under_tight_cutoff():
     cert = almost_simple_certificate(Analysis(a5(), config=RunConfig(enumeration_cutoff=1000)))
     assert cert.verdict == PASS  # order 60 stays under the configured cutoff

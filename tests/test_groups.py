@@ -322,7 +322,7 @@ def test_order_bound_gives_the_same_chain(n):
 
         moved = [x for x in range(n) if any(g[x] != x for g in gens)]
         prefix = rng.sample(moved, rng.randint(1, 3))
-        strong = full.strong_elements(0)
+        strong = full.strong_elements()
         rebased = _Chain(n, prefix, strong, order)
         assert _chain_state(rebased) == _chain_state(_Chain(n, prefix, strong))
         assert rebased.size == order

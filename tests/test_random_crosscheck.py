@@ -76,8 +76,17 @@ def test_centralizer_matches_brute_on_transitive_and_intransitive_subgroups():
         # C_Sym(H) is the left-regular S3, which meets H only in Z(S3) = 1.
         (right, right, 1),
         (build_group(list(right.generators) + list(left.generators)), right, 6),
-        # Intransitive: the enumeration path.
         (_symmetric(5), build_group([from_cycles(5, [(0, 1, 2)])]), 6),
+        # The centralizer swaps the two orbits.
+        (_symmetric(6), build_group([from_cycles(6, [(0, 1, 2), (3, 4, 5)])]), 18),
+        (_symmetric(6), build_group([from_cycles(6, [(0, 1, 2)]), from_cycles(6, [(3, 4, 5)])]), 9),
+        (_symmetric(6), trivial_group(6), 720),
+        # The group fixes 995 of its 1000 points, and the subgroup every point.
+        (
+            build_group([from_cycles(1000, [(0, 1)]), from_cycles(1000, [(0, 1, 2, 3, 4)])]),
+            trivial_group(1000),
+            120,
+        ),
     ]
     for n in range(3, 8):
         cases.append((_symmetric(n), build_group([from_cycles(n, [tuple(range(n))])]), n))
@@ -85,12 +94,14 @@ def test_centralizer_matches_brute_on_transitive_and_intransitive_subgroups():
     for n in (5, 6):
         sym = _symmetric(n)
         ambient = sorted(brute_closure([p.images for p in sym.generators]))
-        transitive = 0
-        while transitive < 6:
+        # Six transitive and six intransitive subgroups.
+        wanted = {True: 6, False: 6}
+        while any(wanted.values()):
             sub = build_group(random_subgroup(rng, ambient))
-            if len(sub.orbit(0)) == n:
+            transitive = len(sub.orbit(0)) == n
+            if wanted[transitive]:
                 cases.append((sym, sub, None))
-                transitive += 1
+                wanted[transitive] -= 1
     for group, sub, expected in cases:
         group_elements = brute_closure([p.images for p in group.generators])
         sub_elements = brute_closure([p.images for p in sub.generators])

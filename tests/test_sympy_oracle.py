@@ -41,14 +41,15 @@ TRANSITIVE_AMBIENTS = {
 }
 
 
-def test_centralizers_of_random_transitive_subgroups_agree_with_sympy():
+def test_centralizers_of_random_subgroups_agree_with_sympy():
     rng = random.Random(8191)
     orders = set()
     for n, cycles in TRANSITIVE_AMBIENTS.items():
         ambient = sorted(brute_closure([from_cycles(n, c).images for c in cycles]))
         symmetric = build_group([from_cycles(n, [(0, 1)]), from_cycles(n, [tuple(range(n))])])
-        found = 0
-        while found < 4:
+        # Four transitive and four intransitive subgroups.
+        wanted = {True: 4, False: 4}
+        while any(wanted.values()):
             relabel = list(range(n))
             rng.shuffle(relabel)
             relabel = tuple(relabel)
@@ -57,9 +58,10 @@ def test_centralizers_of_random_transitive_subgroups_agree_with_sympy():
                 for x in rng.sample(ambient, rng.randint(1, 2))
             ]
             sub = build_group(gens)
-            if len(sub.orbit(0)) != n:
+            transitive = len(sub.orbit(0)) == n
+            if not wanted[transitive]:
                 continue
-            found += 1
+            wanted[transitive] -= 1
             extra = Permutation(rng.choice(ambient))
             for group in (symmetric, build_group(gens + [extra]), sub):
                 got = centralizer(group, sub).order
