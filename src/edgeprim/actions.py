@@ -11,7 +11,7 @@ image of an element on a domain is a kernel element of the domain's size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .perms import _kernel
 from .groups import Group, ScaleLimitError, _Chain
@@ -90,9 +90,16 @@ def is_frobenius(group: Group) -> bool:
 def _blocks(gens: Sequence[Sequence[int]], alpha: int, beta: int) -> BlockSystem:
     """Minimal blocks of the transitive group that the image lists ``gens``
     generate, by union-find: merge alpha and beta, then close the relation
-    under every generator until no merge applies."""
+    under every generator until no merge applies.
+
+    Every cell lies inside one block of the result, and block sizes divide
+    the degree, so once a cell holds more than half the points the result
+    is the whole domain, returned at once.
+    """
     n = len(gens[0])
     parent = list(range(n))
+    size = [1] * n
+    queue: list[tuple[int, int]] = []
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -100,15 +107,23 @@ def _blocks(gens: Sequence[Sequence[int]], alpha: int, beta: int) -> BlockSystem
             x = parent[x]
         return x
 
-    queue = [(alpha, beta)]
-    parent[find(beta)] = find(alpha)
+    def merge(x: int, y: int) -> bool:
+        """Merge the cells of x and y; whether the cell now passes half."""
+        a, b = find(x), find(y)
+        if a != b:
+            parent[b] = a
+            size[a] += size[b]
+            queue.append((a, b))
+        return 2 * size[a] > n
+
+    whole = BlockSystem(blocks=(tuple(range(n)),), block_size=n)
+    if merge(alpha, beta):
+        return whole
     while queue:
         x, y = queue.pop()
         for g in gens:
-            a, b = find(g[x]), find(g[y])
-            if a != b:
-                parent[b] = a
-                queue.append((a, b))
+            if merge(g[x], g[y]):
+                return whole
     cells: dict[int, list[int]] = {}
     for x in range(n):
         cells.setdefault(find(x), []).append(x)
@@ -175,14 +190,47 @@ def edge_images(edges: Sequence[tuple[int, int]], elements: Iterable) -> list:
     ]
 
 
-class CosetTable:
-    """Right cosets of a subgroup, identified by canonical representatives.
+def right_cosets(group: Group, sub: Group) -> Iterator:
+    """The canonical representatives of the right cosets of sub in the
+    group, each yielded as it is first met, breadth-first from sub over
+    the group's generators, so a caller may stop early.
 
     The canonical representative of a coset Hg is the element minimizing
     the image sequence of the subgroup's base, found by descending the
     subgroup's stabilizer chain; it is unique because base images determine
     subgroup elements.  Elements are kernel elements of the group's degree.
     """
+    k = _kernel(group.degree)
+    first = _canonical(k, sub, k.identity)
+    reps, seen = [first], {first}
+    gen_tables = [k.table(g) for g in group.gens]
+    for rep in reps:
+        yield rep
+        for g in gen_tables:
+            nxt = _canonical(k, sub, k.mul(rep, g))
+            if nxt not in seen:
+                seen.add(nxt)
+                reps.append(nxt)
+
+
+def _canonical(k, sub: Group, g):
+    """The canonical representative of the right coset of sub holding g."""
+    rep = g
+    for point, trans in zip(sub.base, sub.transversals):
+        best = None
+        best_delta = None
+        for delta in trans:
+            img = rep[delta]
+            if best is None or img < best:
+                best, best_delta = img, delta
+        if best_delta is not None and best_delta != point:
+            rep = k.mul(trans[best_delta], k.table(rep))
+    return rep
+
+
+class CosetTable:
+    """Right cosets of a subgroup, identified by the canonical
+    representatives of :func:`right_cosets`, in its order."""
 
     def __init__(self, group: Group, sub: Group, max_index: int = 10**5):
         if group.degree != sub.degree:
@@ -195,41 +243,16 @@ class CosetTable:
             raise ScaleLimitError(f"coset index {index} exceeds cap {max_index}")
         self.group = group
         self.sub = sub
-        self._base = sub.base
-        self._transversals = sub.transversals
-        self._kernel = k = _kernel(group.degree)
-        ident = self.canonical(k.identity)
-        reps = [ident]
-        lookup = {ident: 0}
-        gen_tables = [k.table(g) for g in group.gens]
-        head = 0
-        while head < len(reps):
-            rep = reps[head]
-            head += 1
-            for g in gen_tables:
-                nxt = self.canonical(k.mul(rep, g))
-                if nxt not in lookup:
-                    lookup[nxt] = len(reps)
-                    reps.append(nxt)
+        self._kernel = _kernel(group.degree)
+        reps = list(right_cosets(group, sub))
         if len(reps) != index:
             raise AssertionError("coset enumeration found a wrong number of cosets")
         self.reps = reps
-        self.lookup = lookup
+        self.lookup = {rep: i for i, rep in enumerate(reps)}
         self.index = index
 
     def canonical(self, g):
-        mul, table = self._kernel.mul, self._kernel.table
-        rep = g
-        for point, trans in zip(self._base, self._transversals):
-            best = None
-            best_delta = None
-            for delta in trans:
-                img = rep[delta]
-                if best is None or img < best:
-                    best, best_delta = img, delta
-            if best_delta is not None and best_delta != point:
-                rep = mul(trans[best_delta], table(rep))
-        return rep
+        return _canonical(self._kernel, self.sub, g)
 
     def coset_of(self, g) -> int:
         return self.lookup[self.canonical(g)]
@@ -241,4 +264,3 @@ class CosetTable:
         return _kernel(self.index).element(
             [self.lookup[self.canonical(mul(rep, g_table))] for rep in self.reps]
         )
-

@@ -24,6 +24,7 @@ from .groups import (
     _Chain,
     is_abelian,
     is_normal,
+    is_subgroup,
     perfect_core,
     reduce_generators,
     same_subgroup,
@@ -118,11 +119,12 @@ class Analysis:
     check.
 
     Every fact the checks share is computed on first use and then kept: the
-    first edge with its setwise and pointwise stabilizers, the local action
-    at a vertex, the analysis of each normal subgroup on the same graph,
-    and the certificate of each graph-level check.  Composite checks read
-    their sub-results here instead of recomputing them.  Only subgroups and
-    certificates are kept, never element lists.
+    group on a reduced generating set, the first edge with its setwise and
+    pointwise stabilizers, the local action at a vertex, the analysis of
+    each normal subgroup on the same graph, and the certificate of each
+    graph-level check.  Composite checks read their sub-results here
+    instead of recomputing them.  Only subgroups and certificates are kept,
+    never element lists.
     """
 
     def __init__(
@@ -168,6 +170,12 @@ class Analysis:
         return self.graph.edges[0]
 
     @functools.cached_property
+    def reduced(self) -> Group:
+        """The group on a small generating set, for steps that loop over
+        generators."""
+        return reduce_generators(self.group)
+
+    @functools.cached_property
     def edge_stabilizer(self) -> Group:
         return self.group.setwise_stabilizer(self.edge)
 
@@ -199,10 +207,16 @@ class Analysis:
     def of_normal(self, normal: Group) -> Analysis:
         """The analysis of a nontrivial normal subgroup on the same graph,
         kept per subgroup object so that the pair checks of one subgroup
-        share its normality check and its stabilizers."""
+        share its normality check and its stabilizers; this analysis itself
+        when the subgroup is the whole group."""
         if normal not in self._normals:
             if normal.order == 1:
                 raise ValueError("normal subgroup must be nontrivial")
+            if not is_subgroup(self.group, normal):
+                raise ValueError("candidate is not a subgroup")
+            if normal.order == self.group.order:
+                # Not kept: an analysis holding itself would outlive its use.
+                return self
             if not is_normal(self.group, normal):
                 raise ValueError("subgroup is not normal")
             # A subgroup of a checked group of automorphisms needs no check.
@@ -233,8 +247,9 @@ def _once(check):
 @_once
 def is_edge_primitive(analysis: Analysis) -> Certificate:
     """Primitivity of the edge action, with a block witness on failure,
-    from the images on edge indices (edge 0 is the analysed edge) of the
-    generators of the group and of the edge stabilizer."""
+    from the images on edge indices (edge 0 is the analysed edge) of a
+    reduced generating set of the group and of the edge stabilizer's
+    generators."""
     name = "edge-primitive"
     group, graph = analysis.group, analysis.graph
     if graph.num_edges == 0:
@@ -244,8 +259,9 @@ def is_edge_primitive(analysis: Analysis) -> Certificate:
         return analysis.not_applicable(name, "group is not edge-transitive", evidence)
     stab = analysis.edge_stabilizer
     evidence["edge_stabilizer_order"] = stab.order
-    k = len(group.gens)
-    images = edge_images(graph.edges, group.gens + stab.gens)
+    gens = analysis.reduced.gens
+    k = len(gens)
+    images = edge_images(graph.edges, gens + stab.gens)
     evidence["edge_action_kernel_order"] = _edge_kernel_order(group, graph, images[:k])
     witness = block_witness(images[:k], images[k:])
     evidence["primitive"] = witness is None
@@ -405,7 +421,7 @@ def almost_simple_certificate(analysis: Analysis) -> Certificate:
     name = "almost-simple"
     group, cutoff = analysis.group, analysis.config.enumeration_cutoff
     evidence: dict = {"group_order": group.order}
-    reduced = reduce_generators(group)
+    reduced = analysis.reduced
     core = perfect_core(reduced)
     evidence["core_order"] = core.order
     if core.order == 1:
@@ -799,7 +815,8 @@ _FIXTURES = {
 def _load_fixture(name: str, make_graph, make_group, config: RunConfig) -> tuple:
     """Load or materialize a fixture's files, returning the graph (None for
     a group-only fixture), the acting group, and an inputs descriptor with
-    content hashes."""
+    content hashes.  A group file is read on a chain based at the graph's
+    first edge, the edge its analysis is based at."""
     config.fixture_dir.mkdir(parents=True, exist_ok=True)
     inputs: dict = {}
 
@@ -817,17 +834,12 @@ def _load_fixture(name: str, make_graph, make_group, config: RunConfig) -> tuple
     graph = None
     if make_graph is not None:
         graph = load("graph", fileio.read_graph, fileio.write_graph, make_graph)
+    edge = graph.edges[0] if graph is not None and graph.edges else ()
     group = load(
-        "group", fileio.read_group, fileio.write_group,
+        "group", lambda path: fileio.read_group(path, edge), fileio.write_group,
         make_group or (lambda: automorphism_group(graph)),
     )
     return graph, group, inputs
-
-
-def _harvest_normal_subgroups(group: Group) -> list[Group]:
-    if group.order > NORMAL_SWEEP_BOUND:
-        return []
-    return [n for n in normal_subgroups(group, NORMAL_SWEEP_BOUND) if n.order > 1]
 
 
 def run_lemma_suite(
@@ -838,7 +850,11 @@ def run_lemma_suite(
     Fixture files are generated on demand into the configured directory so
     certificates can reference immutable inputs by content hash.  Each
     fixture gets one :class:`Analysis`, so its rows share edge-primitivity
-    and the stabilizers of each normal subgroup.
+    and the stabilizers of each normal subgroup.  The normal subgroups of
+    a group of order at most ``NORMAL_SWEEP_BOUND`` are swept on the
+    analysis's reduced generating set, which edge-primitivity reads too,
+    so the class walk and each subgroup's generators start from few
+    generators; the whole group comes back as that reduced group.
     """
     wanted = list(suites) if suites else list(SUITE_NAMES)
     for s in wanted:
@@ -863,7 +879,9 @@ def run_lemma_suite(
         analysis = Analysis(group, graph, inputs, config)
         if weiss:
             rows.append(SuiteRow(name, "weiss", "G", s_transitivity_degree(analysis)))
-        for normal in _harvest_normal_subgroups(group) if pairs else ():
+        if not pairs or group.order > NORMAL_SWEEP_BOUND:
+            continue
+        for normal in normal_subgroups(analysis.reduced, NORMAL_SWEEP_BOUND):
             subject = f"N(order={normal.order})"
             for s in pairs:
                 rows.append(SuiteRow(name, s, subject, pair_checks[s](analysis, normal)))

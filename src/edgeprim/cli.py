@@ -188,7 +188,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "graph_sha256": fileio.sha256_of_file(args.graph),
     }
     if args.group:
-        group = fileio.read_group(args.group)
+        # Read on the analysed edge, where the analysis bases its chain.
+        group = fileio.read_group(args.group, graph.edges[0] if graph.edges else ())
         inputs["group_file"] = Path(args.group).name
         inputs["group_sha256"] = fileio.sha256_of_file(args.group)
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import Sequence
 
 from .perms import Permutation
 from .groups import Group, ScaleLimitError, build_group
@@ -115,9 +116,17 @@ def write_group(group: Group, path: str | Path) -> None:
     Path(path).write_text(group_to_text(group), encoding="ascii")
 
 
-def parse_group(text: str, source: str | Path = "<string>") -> Group:
+def parse_group(
+    text: str, source: str | Path = "<string>", base: Sequence[int] = ()
+) -> Group:
     """Parse a group file; a degree above :data:`GRAPH_VERTEX_CAP` raises
-    :class:`ScaleLimitError` before any generator is read."""
+    :class:`ScaleLimitError` before any generator is read.
+
+    The chain's base starts with the points ``base`` when every one is
+    below the degree, such as the edge a graph's analysis is based at, so
+    that the chain need not be moved there; otherwise they are ignored,
+    and a graph the group cannot act on is rejected by the graph's check.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != "group":
         raise FileFormatError(source, 1, "expected 'group' header")
@@ -163,11 +172,11 @@ def parse_group(text: str, source: str | Path = "<string>") -> Group:
         raise FileFormatError(source, len(lines), "missing 'degree' line")
     if not gens:
         raise FileFormatError(source, len(lines), "missing generator lines")
-    return build_group(gens)
+    return build_group(gens, base if all(p < degree for p in base) else ())
 
 
-def read_group(path: str | Path) -> Group:
-    return parse_group(Path(path).read_text(encoding="ascii"), path)
+def read_group(path: str | Path, base: Sequence[int] = ()) -> Group:
+    return parse_group(Path(path).read_text(encoding="ascii"), path, base)
 
 
 def sha256_of_file(path: str | Path) -> str:

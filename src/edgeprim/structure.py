@@ -1,15 +1,19 @@
-"""Element-enumeration operations on small groups.
+"""Structural operations on small groups: classes, normalizers, simplicity.
 
-Most operations here walk the full element list of a group.  Two do not.
-Simplicity goes down the group's own stabilizer chain: at each level it
-walks only the cosets of two-point stabilizers that can hold a generator
-of a semiregular normal subgroup, picked out by their fixed points, and it
-computes no conjugacy classes (see :func:`is_simple`).  The centralizer of
-a subgroup is a backtrack over the images of its orbit representatives,
-pruned down the group's chain (see :func:`centralizer`).  Every entry
-point is still gated by an explicit cutoff (default 10^6): exceeding it
-raises :class:`ScaleLimitError` rather than returning a wrong or partial
-answer.
+Enumeration here is explicit and gated.  The conjugacy classes come from
+one walk of the group's elements, and the normal subgroup lattice is
+closed on sets of class indices, with one stabilizer chain built per
+normal subgroup found (see :func:`normal_subgroups`).  A normalizer walks
+one representative per right coset of the subgroup, not the group (see
+:func:`normalizer`).  Simplicity goes down the group's own stabilizer
+chain: at each level it walks only the cosets of two-point stabilizers
+that can hold a generator of a semiregular normal subgroup, picked out by
+their fixed points, and it computes no conjugacy classes (see
+:func:`is_simple`).  The centralizer of a subgroup is a backtrack over the
+images of its orbit representatives, pruned down the group's chain (see
+:func:`centralizer`).  Every entry point is still gated by an explicit
+cutoff on the group's order (default 10^6): exceeding it raises
+:class:`ScaleLimitError` rather than returning a wrong or partial answer.
 
 Every element taken or returned here is a kernel element of
 :mod:`edgeprim.perms`, not a ``Permutation``, which is only the boundary
@@ -20,10 +24,12 @@ a 252000-element degree-50 group in the seconds range.
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 from typing import Iterator
 
 from .perms import _cycles, _kernel, _order
+from .actions import right_cosets
 from .groups import (
     DEFAULT_ENUMERATION_CUTOFF,
     Group,
@@ -34,7 +40,6 @@ from .groups import (
     is_subgroup,
     normal_closure,
     perfect_core,
-    same_subgroup,
     trivial_group,
 )
 
@@ -73,12 +78,20 @@ def elements(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> list:
 def normalizer(
     group: Group, sub: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF
 ) -> Group:
-    """N_group(sub), by enumerating the ambient group's elements.
+    """N_group(sub), over the right cosets of sub.
 
-    One chain, bounded by the group's order, grows by each normalizing
-    element it does not yet contain; the enumeration stops once the chain
-    is the whole group.  The result equals ``build_group`` of sub's
-    generators followed by the elements added, in enumeration order.
+    An element g normalizes sub = H iff every element of the coset Hg does,
+    since H normalizes itself; so one representative per coset, from
+    :func:`edgeprim.actions.right_cosets`, decides each coset, and at most
+    |G:H| representatives are walked instead of |G| elements (Seress,
+    *Permutation Group Algorithms*, 2003; Holt, Eick & O'Brien, *Handbook
+    of Computational Group Theory*, 2005).  One chain, bounded by the
+    group's order, grows by each normalizing representative it does not yet
+    contain, and the walk stops once the chain is the whole group.  The
+    result equals ``build_group`` of sub's generators followed by the
+    representatives added, in the order the walk meets them.  The walk
+    keeps every representative it meets, so its memory grows with the
+    index, which the order gate bounds.
     """
     if not is_subgroup(group, sub):
         raise ValueError("candidate is not a subgroup")
@@ -87,7 +100,7 @@ def normalizer(
     sub_tables = [h for _inverse, h in _conjugators(sub)]
     gens = list(sub.gens)
     chain = _Chain(group.degree, (), gens, group.order)
-    for p in _iter_elements_bytes(group):
+    for p in right_cosets(group, sub):
         if chain.full():
             break
         if chain.sift(p)[0] == k.identity:
@@ -181,26 +194,38 @@ def conjugacy_classes(
     elements, the first class members met in enumeration order, so the
     output is deterministic."""
     _check_cutoff(group, cutoff, "conjugacy class enumeration")
+    return [(members[0], len(members)) for members in _classes(group)[0]]
+
+
+def _classes(group: Group) -> tuple[list[list], dict]:
+    """The conjugacy classes from one walk of the elements, and the index
+    of each element's class.
+
+    Each class lists its members breadth-first from the first one the walk
+    meets, conjugating by the group's generators, so the walk costs one
+    conjugation per element and generator: callers that walk often, such
+    as the lemma suite, hand over a reduced generating set.
+    """
     k = _kernel(group.degree)
     mul, table = k.mul, k.table
     gen_pairs = _conjugators(group)
-    seen: set = set()
-    out = []
+    class_of: dict = {}
+    classes: list[list] = []
     for b in _iter_elements_bytes(group):
-        if b in seen:
+        if b in class_of:
             continue
-        cls = {b}
-        queue = [b]
-        while queue:
-            x_table = table(queue.pop())
+        index = len(classes)
+        class_of[b] = index
+        members = [b]
+        for x in members:
+            x_table = table(x)
             for gi, g in gen_pairs:
                 y = mul(mul(gi, x_table), g)
-                if y not in cls:
-                    cls.add(y)
-                    queue.append(y)
-        seen |= cls
-        out.append((b, len(cls)))
-    return out
+                if y not in class_of:
+                    class_of[y] = index
+                    members.append(y)
+        classes.append(members)
+    return classes, class_of
 
 
 def is_simple(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
@@ -318,38 +343,90 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
     return True
 
 
-def _class_closures(group: Group, cutoff: int) -> list[Group]:
-    out: list[Group] = []
-    identity = _kernel(group.degree).identity
-    for rep, _size in conjugacy_classes(group, cutoff):
-        if rep == identity:
-            continue
-        n = normal_closure(group, [rep])
-        if not any(same_subgroup(n, seen) for seen in out):
-            out.append(n)
-    return out
-
-
 def normal_subgroups(group: Group, bound: int = 10**5) -> list[Group]:
-    """All normal subgroups (including the group itself), order ≤ bound scan.
+    """All nontrivial normal subgroups, by order, the group itself last
+    (as ``group``); an order ≤ bound scan.
 
-    Every normal subgroup is a join of class closures, so closing the set of
-    single-class closures under pairwise join enumerates the whole lattice.
+    A normal subgroup is a union of conjugacy classes, so the lattice is
+    closed on sets of class indices.  The subgroup generated by a class C
+    starts from {1, C} and adds, for each member class X and each c in C,
+    the class of c x for x the representative of X: C is closed under
+    conjugation and c x^g = (c^(g^-1) x)^g, so one representative per
+    class is exact.  A class holding x^e with e prime to the order of an
+    x already closed generates the same subgroup and is skipped.  Every
+    normal subgroup is a join of these closures, so closing them under
+    pairwise join enumerates the whole lattice: the join of A and B is
+    A ∪ B closed in the same way under the classes generating B, and a
+    nested pair joins to the larger of the two.  Each subgroup found is
+    then built once, on one chain bounded by its order, the sum of its
+    class sizes, from the elements of the classes generating it.
+    Closures come in class order and joins in pair order, and the sort
+    by order is stable.
     """
     _check_cutoff(group, bound, "normal subgroup sweep")
-    found = _class_closures(group, bound)
+    k = _kernel(group.degree)
+    classes, class_of = _classes(group)
+    reps = [k.table(members[0]) for members in classes]
+    one = class_of[k.identity]
+
+    def close(start, generating) -> frozenset:
+        members = set(start)
+        queue = list(members)
+        for x in queue:
+            if len(members) == len(classes):
+                break
+            for c in generating:
+                for e in classes[c]:
+                    y = class_of[k.mul(e, reps[x])]
+                    if y not in members:
+                        members.add(y)
+                        queue.append(y)
+        return frozenset(members)
+
+    found: list[frozenset] = []
+    generated_by: list[tuple] = []
+    skip = {one}
+    for c, members in enumerate(classes):
+        if c in skip:
+            continue
+        x = members[0]
+        m, p = _order(x), x
+        for e in range(1, m):
+            if math.gcd(e, m) == 1:
+                skip.add(class_of[p])
+            p = k.mul(p, reps[c])
+        closure = close({one, c}, (c,))
+        if closure not in found:
+            found.append(closure)
+            generated_by.append((c,))
+    # joined[i]: the partners j < joined[i] of subgroup i are joined.
+    joined: list[int] = [0] * len(found)
     changed = True
     while changed:
         changed = False
         for i in range(len(found)):
-            for j in range(i + 1, len(found)):
-                gens = found[i].gens + found[j].gens
-                join = _Chain(group.degree, (), gens, group.order).suffix_group(gens)
-                if not any(same_subgroup(join, seen) for seen in found):
+            end = len(found)
+            for j in range(max(i + 1, joined[i]), end):
+                a, b = found[i], found[j]
+                if a <= b or b <= a:
+                    continue
+                join = close(a | b, generated_by[j])
+                if join not in found:
                     found.append(join)
+                    generated_by.append(tuple(dict.fromkeys(generated_by[i] + generated_by[j])))
+                    joined.append(0)
                     changed = True
-    found.sort(key=lambda g: g.order)
-    return found
+            joined[i] = end
+    out = []
+    for members, generating in zip(found, generated_by):
+        if len(members) == len(classes):
+            out.append(group)
+            continue
+        chain = _Chain(group.degree, (), (), sum(len(classes[c]) for c in members))
+        gens = [e for c in generating for e in classes[c] if chain.add_generator(e)]
+        out.append(chain.suffix_group(gens))
+    out.sort(key=lambda n: n.order)
+    return out
 
 
 def sylow_subgroup(

@@ -197,6 +197,73 @@ def all_subgroups(elements: set[tuple[int, ...]], max_gens: int = 2):
     seen.setdefault(frozenset({ident}), (ident,))
     return list(seen)
 
+def brute_normal_subgroups(elements: set[tuple[int, ...]]) -> list[frozenset]:
+    """The nontrivial normal subgroups, as element sets: every union of
+    conjugacy classes with the identity that is closed under products.
+    Each class is the set of conjugates of an element by every element, so
+    no generating set is assumed."""
+    ident = tuple(range(len(next(iter(elements)))))
+    classes, seen = [], set()
+    for x in sorted(elements):
+        if x not in seen:
+            cls = frozenset(compose_t(compose_t(inverse_t(g), x), g) for g in elements)
+            seen |= cls
+            classes.append(cls)
+    nontrivial = [c for c in classes if ident not in c]
+    out = []
+    for r in range(1, len(nontrivial) + 1):
+        for combo in itertools.combinations(nontrivial, r):
+            sub = frozenset({ident}).union(*combo)
+            if all(compose_t(x, y) in sub for x in sub for y in sub):
+                out.append(sub)
+    return out
+
+
+def union_find_blocks(gens: list[tuple[int, ...]], alpha: int, beta: int) -> tuple:
+    """The minimal block system through {alpha, beta}, as sorted cells: a
+    union-find closed under every generator until no merge applies, with
+    no early stop."""
+    n = len(gens[0])
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    parent[beta] = alpha
+    pairs = [(alpha, beta)]
+    while pairs:
+        x, y = pairs.pop()
+        for g in gens:
+            a, b = find(g[x]), find(g[y])
+            if a != b:
+                parent[b] = a
+                pairs.append((a, b))
+    cells: dict[int, list[int]] = {}
+    for x in range(n):
+        cells.setdefault(find(x), []).append(x)
+    return tuple(sorted(tuple(c) for c in cells.values()))
+
+
+def reference_block_witness(gens: list[tuple[int, ...]], stabilizer_gens: list) -> tuple | None:
+    """The cells of the first nontrivial minimal block system through
+    {0, beta}, for beta the least point of each orbit of the stabilizer
+    generators in ascending order, or None when every system is trivial."""
+    seen: set[int] = set()
+    for beta in range(len(gens[0])):
+        if beta in seen:
+            continue
+        orbit = [beta]
+        seen.add(beta)
+        for x in orbit:
+            for g in stabilizer_gens:
+                if g[x] not in seen:
+                    seen.add(g[x])
+                    orbit.append(g[x])
+        if beta and len(cells := union_find_blocks(gens, 0, beta)) > 1:
+            return cells
+    return None
 
 
 def brute_edge_action(edges: list[tuple[int, int]], gens: list[tuple[int, ...]]):

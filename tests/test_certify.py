@@ -573,6 +573,17 @@ def test_analysis_checks_the_group_against_the_graph_once(monkeypatch):
     assert calls == ["check_preserves_edges"]
 
 
+def test_of_normal_is_the_analysis_itself_for_the_whole_group():
+    analysis = Analysis(s5(), complete_graph(5))
+    same_group = build_group([from_cycles(5, [(0, 1)]), from_cycles(5, [(0, 1, 2, 3, 4)])])
+    assert analysis.of_normal(same_group) is analysis
+    assert analysis.of_normal(a5()) is not analysis
+    # A group of the same order that is not a subgroup is still rejected.
+    c3 = Analysis(build_group([from_cycles(6, [(0, 1, 2)])]))
+    with pytest.raises(ValueError, match="not a subgroup"):
+        c3.of_normal(build_group([from_cycles(6, [(3, 4, 5)])]))
+
+
 def test_lemma_suite_decides_edge_primitivity_once_per_fixture(monkeypatch, tmp_path):
     from edgeprim import certify
 

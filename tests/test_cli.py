@@ -420,8 +420,12 @@ A5_ON_FIVE_OF_TEN = "group\ndegree 10\ng 1 2 0 3 4 5 6 7 8 9\ng 1 2 3 4 0 5 6 7 
          "a generator of the group is not a graph automorphism"),
         (complete_graph(4), "group\ndegree 5\ng 1 2 3 4 0\n", "almost-simple",
          "group degree must equal the vertex count"),
+        # The first edge (4, 5) is beyond the group's degree, so the group
+        # is read without it as a base prefix, and the graph check rejects it.
+        (build_graph(6, [(4, 5)]), "group\ndegree 4\ng 1 0 2 3\n", "edge-primitive",
+         "group degree must equal the vertex count"),
     ],
-    ids=["Petersen A5", "K44 transposition", "degree 5 on K4"],
+    ids=["Petersen A5", "K44 transposition", "degree 5 on K4", "degree 4 below the edge"],
 )
 def test_every_check_rejects_a_group_that_does_not_act_on_the_graph(
     graph, group_lines, check, message, tmp_path, capsys

@@ -74,6 +74,23 @@ def test_group_round_trip(tmp_path):
     assert back.degree == 5 and back.order == 120
 
 
+def test_group_read_on_a_base_prefix(tmp_path):
+    # The chain starts at the given points when all are below the degree;
+    # a group read on a graph's first edge is already based there, so the
+    # analysis keeps it.  A point beyond the degree leaves the base alone.
+    from edgeprim import Analysis, automorphism_group
+
+    text = "group\ndegree 5\ng 1 0 2 3 4\ng 1 2 3 4 0\n"
+    assert parse_group(text, base=(3, 1)).base[:2] == (3, 1)
+    assert parse_group(text, base=(3, 5)).base == parse_group(text).base
+    graph = heawood()
+    path = tmp_path / "heawood.group"
+    write_group(automorphism_group(graph), path)
+    group = read_group(path, graph.edges[0])
+    assert group.base[:2] == graph.edges[0]
+    assert Analysis(group, graph).group is group
+
+
 def test_group_canonical_text_sorts_generators():
     g = build_group([from_cycles(3, [(0, 1, 2)]), from_cycles(3, [(0, 1)])])
     lines = [l for l in group_to_text(g).splitlines() if l.startswith("g ")]

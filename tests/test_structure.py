@@ -18,6 +18,7 @@ from edgeprim import (
     normal_subgroups,
     normalizer,
     sylow_subgroup,
+    trivial_group,
 )
 from edgeprim.families import agammal1, agl1, pgl2, psl2
 from edgeprim.groups import derived_subgroup, is_abelian, normal_closure
@@ -79,6 +80,46 @@ def test_normalizer_matches_brute_force():
 def test_normalizer_requires_subgroup():
     with pytest.raises(ValueError):
         normalizer(a5(), build_group([from_cycles(5, [(0, 1)])]))
+
+
+def test_normalizer_walks_cosets_not_elements(monkeypatch):
+    from edgeprim import structure
+
+    walked = []
+    original = structure._iter_elements_bytes
+
+    def counting(group):
+        walked.append(group.order)
+        return original(group)
+
+    monkeypatch.setattr(structure, "_iter_elements_bytes", counting)
+    g = s5()
+    for sub, expected in (
+        (g, 120), (g.point_stabilizer(0), 24), (g.setwise_stabilizer([0, 1]), 12),
+        (trivial_group(5), 120),
+    ):
+        assert normalizer(g, sub).order == expected
+    assert normalizer(s4(), build_group([from_cycles(4, [(0, 1, 2, 3)])])).order == 8
+    assert walked == []
+
+
+def test_normalizer_stops_once_it_is_the_whole_group(monkeypatch):
+    # The cosets are met lazily: the trivial subgroup of S8 has 40320 of
+    # them, and a few representatives already generate S8.
+    from edgeprim import structure
+
+    met = []
+    original = structure.right_cosets
+
+    def counting(group, sub):
+        for rep in original(group, sub):
+            met.append(rep)
+            yield rep
+
+    monkeypatch.setattr(structure, "right_cosets", counting)
+    s8 = build_group([from_cycles(8, [(0, 1)]), from_cycles(8, [tuple(range(8))])])
+    assert normalizer(s8, trivial_group(8)).order == 40320
+    assert len(met) < 100
 
 
 def test_scale_limit_is_explicit():
