@@ -66,7 +66,7 @@ def is_k_transitive(group: Group, k: int) -> bool:
     if group.degree < k:
         return False
     chain = group.rebase(range(k))
-    return all(len(t) == group.degree - i for i, t in enumerate(chain.transversals[:k]))
+    return all(len(chain.basic_orbit(i)) == group.degree - i for i in range(k))
 
 
 def is_frobenius(group: Group) -> bool:
@@ -216,15 +216,15 @@ def right_cosets(group: Group, sub: Group) -> Iterator:
 def _canonical(k, sub: Group, g):
     """The canonical representative of the right coset of sub holding g."""
     rep = g
-    for point, trans in zip(sub.base, sub.transversals):
+    for level, point in enumerate(sub.base):
         best = None
         best_delta = None
-        for delta in trans:
+        for delta in sub.basic_orbit(level):
             img = rep[delta]
             if best is None or img < best:
                 best, best_delta = img, delta
         if best_delta is not None and best_delta != point:
-            rep = k.mul(trans[best_delta], k.table(rep))
+            rep = k.mul(sub.representative(level, best_delta), k.table(rep))
     return rep
 
 

@@ -530,8 +530,9 @@ def three_arc_criterion(analysis: Analysis) -> Certificate:
     has alternating-7 core, and the edge stabilizer is not symmetric-6.
 
     Both sides are evaluated independently.  The gate on a trivial vertex
-    kernel embeds the vertex stabilizer in S_7, where a perfect subgroup of
-    order 2520 is exactly A_7, so the core's order is the A_7 witness.
+    kernel makes the vertex stabilizer isomorphic to its local image in
+    S_d, where the core is taken; a perfect subgroup of S_7 of order 2520
+    is exactly A_7, so the core's order is the A_7 witness.
     Whether the edge stabilizer is S_6 is decided exactly by
     :func:`_is_sym6`.
     """
@@ -558,9 +559,8 @@ def three_arc_criterion(analysis: Analysis) -> Certificate:
     left = degree >= 3
     evidence["three_arc_transitive"] = left
 
-    stab = local.stabilizer
-    evidence["order_vertex_stabilizer"] = stab.order
-    core = perfect_core(reduce_generators(stab))
+    evidence["order_vertex_stabilizer"] = local.stabilizer.order
+    core = perfect_core(local.image)
     evidence["order_vertex_stabilizer_core"] = core.order
     edge_stab = analysis.edge_stabilizer
     evidence["order_edge_stabilizer"] = edge_stab.order

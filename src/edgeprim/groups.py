@@ -1,15 +1,18 @@
 """Finitely generated permutation groups with stabilizer chains.
 
 A :class:`Group` carries a base and strong generating set built by a
-deterministic Schreier-Sims procedure: no randomization, base points chosen
-as the smallest point moved by the residue that creates each level, orbits
+deterministic Schreier-Sims procedure (:meth:`_Chain._complete`, the one
+orbit-and-Schreier loop): no randomization, base points chosen as the
+smallest point moved by the residue that creates each level, orbits
 explored breadth-first in generator order.  Two builds from the same
 generator sequence therefore produce identical bases and transversals,
 which is what makes downstream certificates replayable.
 
-Transversal convention: ``transversals[i][beta]`` is a kernel element
-``t`` with ``t[base[i]] == beta``.  Products read left to right
-(``compose(p, q)`` applies ``p`` first).
+Transversal convention: :meth:`Group.representative` (i, beta) is a kernel
+element ``t`` with ``t[base[i]] == beta``, for beta in
+:meth:`Group.basic_orbit` (i).  Those level reads are the only way in: no
+module but this one knows how a chain stores its levels.  Products read
+left to right (``compose(p, q)`` applies ``p`` first).
 
 Every element here is a raw element of the permutation kernel
 (:func:`edgeprim.perms._kernel`): ``bytes`` composed by ``bytes.translate``
@@ -37,20 +40,16 @@ or an image, where reaching it proves the result is the whole group.
 
 Rebasing.  :meth:`Group.rebase` moves the chain onto given points, and
 every stabilizer and element mapping here is read off the moved chain.  A
-walk down the inverse tables finds the longest j with some g in G sending
-base[:j] to points[:j], and g.  It is exact: if g_i sends base[:i] to
-points[:i], the elements that do so are the products h g_i with h in
-G_(base[:i]), whose images of base[i] are g_i of level i's orbit; so
-points[i] can be reached iff g_i^-1(points[i]) lies in that orbit, and the
-level's transversal holds an element for every point of it.  Since
-g^-1 G g = G, conjugating every level by g (read left to right: g^-1, then
-h, then g) gives a chain of the same group with base g(base): every strong
-generator, transversal element and inverse table h becomes g^-1 h g, with
-each transversal keyed on g's images (Seress 2003, ch. 5).  Its levels from
-j on are the stabilizer of points[:j]; when the walk stops short, one chain
-bounded by that stabilizer's order moves them onto the remaining points.
-A base image thus needs no Schreier-Sims run, and the base itself no
-conjugation either.
+walk down the inverse tables (:func:`_walk`) finds the longest j with some
+g in G sending base[:j] to points[:j], and g.  Since g^-1 G g = G,
+conjugating the levels by g (read left to right: g^-1, then h, then g)
+gives a chain of the same group with base g(base): every strong generator,
+transversal element and inverse table h becomes g^-1 h g, keyed on g's
+images (Seress 2003, ch. 5).  Only the levels a caller reads are
+conjugated.  The levels from j on are the stabilizer of points[:j]; when
+the walk stops short, one chain bounded by that stabilizer's order moves
+them onto the remaining points.  A base image thus needs no Schreier-Sims
+run, and the base itself no conjugation either.
 """
 
 from __future__ import annotations
@@ -95,7 +94,9 @@ class _Chain:
         self.transversals: list[dict[int, object]] = []
         # inverses[i][beta] is the inverse table of transversals[i][beta].
         self.inverses: list[dict[int, object]] = []
-        self.done: list[set[tuple[int, int]]] = []
+        # done[i] = (points, generators): level i has processed the pairs of
+        # its first `points` orbit points and first `generators` generators.
+        self.done: list[tuple[int, int]] = []
         self.strong: list[object] = []
         self.level_of: list[int] = []
         # The product of the transversal sizes, and the proven order of a
@@ -111,107 +112,78 @@ class _Chain:
         self.points.append(point)
         self.transversals.append({point: self.identity})
         self.inverses.append({point: self.kernel.table(self.identity)})
-        self.done.append(set())
-
-    def _level_gen_ids(self, i: int) -> list[int]:
-        return [j for j, lvl in enumerate(self.level_of) if lvl >= i]
-
-    def _extend_transversal(self, i: int) -> None:
-        # Extend, never rebuild: existing coset representatives must stay
-        # fixed so that already-processed Schreier pairs remain valid.
-        mul, inverse_table = self.kernel.mul, self.kernel.inverse_table
-        trans = self.transversals[i]
-        inv = self.inverses[i]
-        gens = [self.strong[j] for j in self._level_gen_ids(i)]
-        queue = list(trans)
-        head, head_size = 0, len(queue)
-        while head < len(queue):
-            a = queue[head]
-            head += 1
-            t = trans[a]
-            for g in gens:
-                b = g[a]
-                if b not in trans:
-                    trans[b] = u = mul(t, g)
-                    inv[b] = inverse_table(u)
-                    queue.append(b)
-        if len(queue) != head_size:
-            self.size = self.size // head_size * len(queue)
+        self.done.append((0, 0))
 
     def full(self) -> bool:
         """Whether the chain has reached its bound, so it is complete."""
         return self.size == self.bound
 
     def sift(self, p, start: int = 0) -> tuple[object, int]:
-        """Strip p through the chain; return (residue, level stopped at).
+        """Strip p through the chain from level ``start`` (see :func:`_sift`)."""
+        return _sift(self.kernel.mul, self.points, self.inverses, p, start)
 
-        The residue fixes ``points[:level]``.  Membership holds iff the
-        residue is the identity after a full pass.
-        """
-        mul = self.kernel.mul
-        for i in range(start, len(self.points)):
-            u_inv = self.inverses[i].get(p[self.points[i]])
-            if u_inv is None:
-                return p, i
-            p = mul(p, u_inv)
-        return p, len(self.points)
-
-    def _install(self, g, level: int) -> None:
-        if level == len(self.points):
-            moved = min(i for i, x in enumerate(g) if i != x)
-            self._new_level(moved)
-        self.strong.append(self.kernel.table(g))
-        self.level_of.append(level)
-
-    def _complete(self, i: int) -> None:
-        """Process level-i Schreier generators until none are pending.
-
-        Levels deeper than i must already be complete; installs made here
-        land strictly deeper and are completed before this level resumes.
-        """
-        mul, identity = self.kernel.mul, self.identity
-        while True:
-            self._extend_transversal(i)
-            if self.full():
-                return
-            trans = self.transversals[i]
-            inv = self.inverses[i]
-            done = self.done[i]
-            gen_ids = self._level_gen_ids(i)
-            dirty = False
-            for a in list(trans):
-                for j in gen_ids:
-                    if (a, j) in done:
-                        continue
-                    done.add((a, j))
-                    g = self.strong[j]
-                    sg = mul(mul(trans[a], g), inv[g[a]])
-                    if sg == identity:
-                        continue
-                    residue, depth = self.sift(sg, i + 1)
-                    if residue != identity:
-                        self._install(residue, depth)
-                        for lvl in range(depth, i, -1):
-                            self._complete(lvl)
-                            if self.full():
-                                return
-                        dirty = True
-            if not dirty:
-                return
-
-    def add_generator(self, g) -> bool:
-        """Extend the chain by g; False (and no change) when g is already in it."""
-        if self.full():
-            return False
-        residue, depth = self.sift(g)
+    def _absorb(self, p, start: int) -> bool:
+        """Sift p from level ``start``; install a residue other than the
+        identity as a strong generator and complete its levels up to start."""
+        residue, depth = self.sift(p, start)
         if residue == self.identity:
             return False
-        self._install(residue, depth)
-        for lvl in range(depth, -1, -1):
+        if depth == len(self.points):
+            self._new_level(min(i for i, x in enumerate(residue) if i != x))
+        self.strong.append(self.kernel.table(residue))
+        self.level_of.append(depth)
+        for lvl in range(depth, start - 1, -1):
             self._complete(lvl)
             if self.full():
                 break
         return True
+
+    def _complete(self, i: int) -> None:
+        """Grow level i's orbit and sift its Schreier generators until none
+        are pending; deeper levels must already be complete.
+
+        A breadth-first walk of the orbit takes each point a with each
+        generator g of level i or deeper.  A new image b = a^g becomes a
+        tree edge, with representative t_a g; any other pair's Schreier
+        generator t_a g t_b^-1 is sifted below the level, and a residue
+        other than the identity is installed and its levels completed.  A
+        walk takes the generators present when it starts, skips the pairs
+        of earlier walks (representatives never change), and repeats while
+        it installs.
+        """
+        mul, identity = self.kernel.mul, self.identity
+        trans, inv = self.transversals[i], self.inverses[i]
+        orbit = list(trans)
+        while True:
+            done_points, done_gens = self.done[i]
+            gens = [g for g, lvl in zip(self.strong, self.level_of) if lvl >= i]
+            installed = False
+            # The orbit grows while it is walked; a list iterator sees that.
+            for index, a in enumerate(orbit):
+                t = trans[a]
+                for g in gens[done_gens:] if index < done_points else gens:
+                    b = g[a]
+                    b_inv = inv.get(b)
+                    if b_inv is None:
+                        trans[b] = u = mul(t, g)
+                        inv[b] = self.kernel.inverse_table(u)
+                        orbit.append(b)
+                        self.size = self.size // (len(orbit) - 1) * len(orbit)
+                        if self.full():
+                            return
+                        continue
+                    sg = mul(mul(t, g), b_inv)
+                    if sg != identity and self._absorb(sg, i + 1):
+                        if self.full():
+                            return
+                        installed = True
+            self.done[i] = (len(orbit), len(gens))
+            if not installed:
+                return
+
+    def add_generator(self, g) -> bool:
+        """Extend the chain by g; False (and no change) when g is already in it."""
+        return not self.full() and self._absorb(g, 0)
 
     def strong_elements(self) -> list:
         """The strong generators, as elements."""
@@ -221,14 +193,10 @@ class _Chain:
         """The chain frozen into a Group, generated by the elements
         ``generators`` if given, else by its strong generators."""
         strong = tuple(self.strong_elements()) or (self.identity,)
+        # The levels are copied: a chain may grow after it is frozen.
         return Group(
-            degree=self.degree,
-            gens=tuple(generators) or strong,
-            base=tuple(self.points),
-            strong_gens=strong,
-            # Copied: a chain may grow after it is frozen.
-            transversals=tuple(map(dict, self.transversals)),
-            _inverse_tables=tuple(map(dict, self.inverses)),
+            self.degree, tuple(generators) or strong, tuple(self.points), strong,
+            tuple(map(dict, self.transversals)), tuple(map(dict, self.inverses)),
         )
 
 
@@ -264,12 +232,24 @@ class Group:
         if len(residue) != self.degree:
             raise ValueError(f"degree mismatch: {len(residue)} != {self.degree}")
         k = _kernel(self.degree)
-        for point, inv in zip(self.base, self._inverse_tables):
-            u_inv = inv.get(residue[point])
-            if u_inv is None:
-                return False
-            residue = k.mul(residue, u_inv)
-        return residue == k.identity
+        return _sift(k.mul, self.base, self._inverse_tables, residue)[0] == k.identity
+
+    def basic_orbit(self, level: int):
+        """The orbit of base[level] under the stabilizer of the earlier base
+        points, in the order the chain met it."""
+        return self.transversals[level].keys()
+
+    def representative(self, level: int, point: int):
+        """The level's t with t[base[level]] == point."""
+        return self.transversals[level][point]
+
+    def inverse_table(self, level: int, point: int):
+        """The representative's inverse table; None off the level's orbit."""
+        return self._inverse_tables[level].get(point)
+
+    def representatives(self, level: int):
+        """The level's representatives, in :meth:`basic_orbit` order."""
+        return self.transversals[level].values()
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -277,14 +257,9 @@ class Group:
     def orbit(self, point: int) -> tuple[int, ...]:
         """The G-orbit of a point, sorted."""
         self._check_point(point)
-        seen = {point}
-        queue = [point]
-        head = 0
-        gens = self.strong_gens
-        while head < len(queue):
-            a = queue[head]
-            head += 1
-            for g in gens:
+        seen, queue = {point}, [point]
+        for a in queue:
+            for g in self.strong_gens:
                 b = g[a]
                 if b not in seen:
                     seen.add(b)
@@ -305,17 +280,23 @@ class Group:
         """The same group (same ``gens``) on a chain whose base starts with
         the given points, duplicates dropped; this group itself when its
         base already does (see the module docstring)."""
+        base, strong, transversals, inverses = self._moved(points, slice(None))
+        if strong is self.strong_gens:
+            return self
+        return Group(self.degree, self.gens, base, strong, transversals, inverses)
+
+    def _moved(self, points: Sequence[int], levels: slice) -> tuple:
+        """(base, strong generators, transversals, inverse tables) of
+        :meth:`rebase`, with the base, transversals and inverse tables cut
+        to the given levels; only those levels are conjugated.  The strong
+        generators are this group's own tuple exactly when nothing moved."""
         for p in points:
             self._check_point(p)
         prefix = tuple(dict.fromkeys(points))
         k = _kernel(self.degree)
         j, g_inv = _walk(k, self._inverse_tables, prefix)
-        whole = j == len(prefix)
-        if whole and g_inv == k.identity:
-            return self
-        kept = len(self.base) if whole else j
+        kept = len(self.base) if j == len(prefix) else j
         base, strong = self.base[:kept], self.strong_gens
-        transversals, inverses = self.transversals[:kept], self._inverse_tables[:kept]
         if g_inv != k.identity:
             g = k.table(k.inverse(g_inv))
 
@@ -324,23 +305,28 @@ class Group:
 
             base = tuple(g[b] for b in base)
             strong = tuple(conj(k.table(s)) for s in strong)
-            transversals = tuple(
-                {g[b]: conj(k.table(t)) for b, t in trans.items()} for trans in transversals
-            )
-            inverses = tuple(
-                {g[b]: k.table(conj(t_inv)) for b, t_inv in inv.items()} for inv in inverses
-            )
-        if not whole:
+        if kept < len(prefix):
             tail = [s for s in strong if all(s[b] == b for b in base)]
             order = math.prod(len(t) for t in self.transversals[j:])
             chain = _Chain(self.degree, prefix[j:], tail, order)
             strong = tuple([s for s in strong if s not in tail] + chain.strong_elements())
             base += tuple(chain.points)
-            transversals += tuple(chain.transversals)
-            inverses += tuple(chain.inverses)
-        return Group(
-            degree=self.degree, gens=self.gens, base=base, transversals=transversals,
-            strong_gens=strong or (k.identity,), _inverse_tables=inverses,
+
+        def level(i):
+            if i >= kept:
+                return chain.transversals[i - kept], chain.inverses[i - kept]
+            trans, inv = self.transversals[i], self._inverse_tables[i]
+            if g_inv == k.identity:
+                return trans, inv
+            return (
+                {g[b]: conj(k.table(t)) for b, t in trans.items()},
+                {g[b]: k.table(conj(t_inv)) for b, t_inv in inv.items()},
+            )
+
+        read = [level(i) for i in range(len(base))[levels]]
+        return (
+            base[levels], strong or (k.identity,),
+            tuple(t for t, _inv in read), tuple(inv for _t, inv in read),
         )
 
     def point_stabilizer(self, point: int) -> "Group":
@@ -350,13 +336,10 @@ class Group:
         """The stabilizer of every given point: the levels of
         :meth:`rebase` after them."""
         prefix = tuple(dict.fromkeys(points))
-        chain, m = self.rebase(prefix), len(prefix)
-        strong = tuple(s for s in chain.strong_gens if all(s[p] == p for p in prefix))
+        base, strong, transversals, inverses = self._moved(prefix, slice(len(prefix), None))
+        strong = tuple(s for s in strong if all(s[p] == p for p in prefix))
         strong = strong or (_kernel(self.degree).identity,)
-        return Group(
-            degree=self.degree, gens=strong, base=chain.base[m:], strong_gens=strong,
-            transversals=chain.transversals[m:], _inverse_tables=chain._inverse_tables[m:],
-        )
+        return Group(self.degree, strong, base, strong, transversals, inverses)
 
     def setwise_stabilizer(self, points: Sequence[int]) -> "Group":
         """Exact stabilizer of a small set of points p_0 < ... < p_{m-1}.
@@ -385,9 +368,8 @@ class Group:
         moving = tuple(t for lvl in trans for t in lvl.values() if t != k.identity)
         strong = moving + fixing.gens
         return Group(
-            degree=self.degree, gens=strong, base=pts + fixing.base, strong_gens=strong,
-            transversals=trans + fixing.transversals,
-            _inverse_tables=inverses + fixing._inverse_tables,
+            self.degree, strong, pts + fixing.base, strong,
+            trans + fixing.transversals, inverses + fixing._inverse_tables,
         )
 
     def _check_point(self, point: int) -> None:
@@ -437,8 +419,23 @@ def element_mapping(group: Group, src: Sequence[int], dst: Sequence[int]):
     if [pairs[s] for s in src] != list(dst):
         return None
     k = _kernel(group.degree)
-    j, g_inv = _walk(k, group.rebase(tuple(pairs))._inverse_tables, tuple(pairs.values()))
+    inverses = group._moved(tuple(pairs), slice(len(pairs)))[3]
+    j, g_inv = _walk(k, inverses, tuple(pairs.values()))
     return k.inverse(g_inv) if j == len(pairs) else None
+
+
+def _sift(mul, points: Sequence[int], inverses: Sequence[dict], p, start: int = 0):
+    """(residue, level stopped at) for p stripped down a chain's levels
+    from ``start``, given its base points and inverse tables per level.
+    The residue fixes ``points[:level]``; p is in the chain's group iff it
+    is the identity (a stop short of the end leaves a point moved).
+    """
+    for i in range(start, len(points)):
+        u_inv = inverses[i].get(p[points[i]])
+        if u_inv is None:
+            return p, i
+        p = mul(p, u_inv)
+    return p, len(points)
 
 
 def _walk(k, inverses: Sequence[dict], points: Sequence[int]):
@@ -447,10 +444,10 @@ def _walk(k, inverses: Sequence[dict], points: Sequence[int]):
     tables per level; g^-1 is a kernel element.
 
     Exact: the elements sending base[:i] to points[:i] form the coset
-    g_i G_(base[:i]), whose images of base[i] are g_i of level i's orbit.
+    g_i G_(base[:i]), whose images of base[i] are g_i of level i's orbit,
+    and the level holds a representative for every point of that orbit.
     """
-    g_inv = k.identity
-    j = 0
+    g_inv, j = k.identity, 0
     for inv, p in zip(inverses, points):
         u_inv = inv.get(g_inv[p])
         if u_inv is None:

@@ -57,7 +57,7 @@ def _iter_elements_bytes(group: Group) -> Iterator:
     image tuples past it), deterministic order."""
     k = _kernel(group.degree)
     mul, table = k.mul, k.table
-    levels = [list(trans.values()) for trans in group.transversals] or [[k.identity]]
+    levels = [list(group.representatives(i)) for i in range(len(group.base))] or [[k.identity]]
     last = len(levels) - 1
 
     def rec(i: int, acc) -> Iterator:
@@ -150,7 +150,7 @@ def centralizer(
         if len(choice) > 1:
             reps.append(a)
             choices.append(choice)
-    inverses = group.rebase(reps)._inverse_tables
+    rebased = group.rebase(reps)
     sub_gens = [g for _inverse, g in _conjugators(sub)]
     chain, kept = _Chain(n, order=group.order), []
     # Depth first, so the maps are met in lexicographic order of the images.
@@ -161,7 +161,7 @@ def centralizer(
         if i < len(reps):
             used = {orbit_of[b] for b in images_of_reps}
             for b in reversed(choices[i]):
-                u_inv = None if orbit_of[b] in used else inverses[i].get(g_inv[b])
+                u_inv = None if orbit_of[b] in used else rebased.inverse_table(i, g_inv[b])
                 if u_inv is not None:
                     stack.append((images_of_reps + (b,), k.mul(g_inv, u_inv)))
             continue
@@ -277,8 +277,8 @@ def is_simple(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
     _check_cutoff(group, cutoff, "simplicity test")
     return all(
         _level_closures_are_whole(group, level)
-        for level, trans in enumerate(group.transversals)
-        if len(trans) > 1
+        for level in range(len(group.base))
+        if len(group.basic_orbit(level)) > 1
     )
 
 
@@ -291,8 +291,8 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
     b = group.base[level]
     # to[x] is t_x as a table, back[x] its inverse; home[y] is u_y and the
     # inverse table of u_y, for every y in D - {b}.
-    to = {x: table(t) for x, t in group.transversals[level].items()}
-    back = group._inverse_tables[level]
+    to = {x: table(group.representative(level, x)) for x in group.basic_orbit(level)}
+    back = {x: group.inverse_table(level, x) for x in to}
     stab = group.pointwise_stabilizer(group.base[: level + 1])
     home = {}
     cosets = []
@@ -302,7 +302,8 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
             continue
         local = stab.rebase((beta,))
         home.update(
-            (y, (u, local._inverse_tables[0][y])) for y, u in local.transversals[0].items()
+            (y, (local.representative(0, y), local.inverse_table(0, y)))
+            for y in local.basic_orbit(0)
         )
         stab_beta = local.point_stabilizer(beta)
         commuting = stab_beta.strong_gens
@@ -311,7 +312,7 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
         # point of Fix(H_beta) other than beta.
         starts = [
             table(mul(u, t))
-            for gamma, u in local.transversals[0].items()
+            for gamma, u in zip(local.basic_orbit(0), local.representatives(0))
             if t[gamma] != beta and all(h[t[gamma]] == t[gamma] for h in commuting)
         ]
         if starts:

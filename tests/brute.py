@@ -132,20 +132,30 @@ def diameter(graph) -> int | float:
     return best
 
 
+def chain_levels(group):
+    """Per level of a group's chain, its (point, representative, inverse
+    table) triples in orbit order, read through the group's level reads."""
+    return [
+        [(x, group.representative(i, x), group.inverse_table(i, x)) for x in group.basic_orbit(i)]
+        for i in range(len(group.base))
+    ]
+
+
 def assert_valid_chain(group, points) -> None:
-    """Check a group's stabilizer chain field by field with plain tuples:
-    every transversal element sends its base point to its key and fixes the
+    """Check a group's stabilizer chain level by level with plain tuples:
+    every representative sends its base point to its key and fixes the
     earlier base points and the given points, its inverse table inverts it,
-    and every strong generator fixes the given points."""
+    only orbit points have one, and every strong generator fixes the given
+    points."""
     n = group.degree
-    for i, (b, trans, inverses) in enumerate(
-        zip(group.base, group.transversals, group._inverse_tables)
-    ):
-        assert b in trans and set(trans) == set(inverses)
-        for beta, t in trans.items():
+    for i, (b, level) in enumerate(zip(group.base, chain_levels(group))):
+        assert level[0][0] == b
+        orbit = {beta for beta, _t, _inv in level}
+        assert all(group.inverse_table(i, x) is None for x in range(n) if x not in orbit)
+        for beta, t, t_inv in level:
             assert t[b] == beta
             assert all(t[x] == x for x in group.base[:i] + tuple(points))
-            assert [inverses[beta][t[x]] for x in range(n)] == list(range(n))
+            assert [t_inv[t[x]] for x in range(n)] == list(range(n))
     for s in group.strong_gens:
         assert all(s[x] == x for x in points)
 

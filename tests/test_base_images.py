@@ -18,7 +18,9 @@ from edgeprim import Permutation, build_group, element_mapping, from_cycles, is_
 from edgeprim.families import pgl2
 from edgeprim.groups import _walk
 from edgeprim.perms import _kernel
-from brute import assert_valid_chain, brute_closure, brute_setwise_stabilizer, inverse_t
+from brute import (
+    assert_valid_chain, brute_closure, brute_setwise_stabilizer, chain_levels, inverse_t,
+)
 
 
 def _dihedral(m, copies):
@@ -110,9 +112,10 @@ def test_stabilizers_and_mappings_match_brute_force(name):
     assert len(elements) == group.order
     members = set(elements)
     rng = random.Random(name)
+    inverses = [{x: t_inv for x, _t, t_inv in level} for level in chain_levels(group)]
     walked = set()
     for points in _prefixes(group, elements, rng):
-        j, g_inv = _walk(k, group._inverse_tables, points)
+        j, g_inv = _walk(k, inverses, points)
         assert j == _brute_walk(group.base, elements, points)
         walked.add("all" if j == len(points) else "part" if j else "none")
         g = inverse_t(tuple(g_inv))
@@ -165,6 +168,7 @@ def test_identity_walk_shares_the_chain_tail():
     for j in range(len(group.base) + 1):
         stab = group.pointwise_stabilizer(group.base[:j])
         assert stab.base == group.base[j:]
+        # Pins the storage on purpose: the tail's levels are the same objects.
         assert all(a is b for a, b in zip(stab.transversals, group.transversals[j:]))
 
 

@@ -17,7 +17,7 @@ from edgeprim import (
     reduce_generators,
     trivial_group,
 )
-from brute import assert_valid_chain, brute_closure, brute_setwise_stabilizer
+from brute import assert_valid_chain, brute_closure, brute_setwise_stabilizer, chain_levels
 
 
 def s5():
@@ -113,8 +113,7 @@ def test_deterministic_rebuild():
     g1 = build_group(gens)
     g2 = build_group(gens)
     assert g1.base == g2.base
-    assert [sorted(t) for t in g1.transversals] == [sorted(t) for t in g2.transversals]
-    assert g1.transversals == g2.transversals
+    assert chain_levels(g1) == chain_levels(g2)
 
 
 def test_setwise_stabilizer_matches_brute_force():
@@ -262,7 +261,7 @@ def test_chain_is_the_same_on_both_sides_of_the_byte_kernel(family):
         summaries.append((
             g.base,
             g.order,
-            [[(b, tuple(t[:m])) for b, t in trans.items()] for trans in g.transversals],
+            [[(b, tuple(t[:m])) for b, t, _inv in level] for level in chain_levels(g)],
             [tuple(s[:m]) for s in g.strong_gens],
             sorted(size for _rep, size in classes),
             len(elements(g)),
@@ -331,6 +330,61 @@ def test_order_bound_gives_the_same_chain(n):
         proper += part.size < order
         assert _chain_state(_Chain(n, (), gens[:1], order)) == _chain_state(part)
     assert proper
+
+
+def _chain_content(chain):
+    """Base, transversal keys and elements, strong generators and their
+    levels, as plain tuples of points."""
+    points, transversals, _inverses, strong, level_of = _chain_state(chain)
+    n = chain.degree
+    return (
+        points,
+        [[(b, tuple(t[:n])) for b, t in trans] for trans in transversals],
+        [tuple(s[:n]) for s in strong],
+        level_of,
+    )
+
+
+# sha256 of the chain contents below.  Chain content decides class
+# representatives and lemma row order, so a change to how chains are built
+# must leave it as it is.
+PINNED_CHAINS = "36af33fae5a41b98fa854a02f2529bba601b7d930638f3e15228b453e986ef20"
+
+
+def test_chain_contents_are_pinned():
+    # Seeded generator sequences: random permutations of 3-14 points (mostly
+    # symmetric and alternating groups) and of scattered blocks at degrees
+    # 40 and 300, on either side of the byte kernel.  Each is built without
+    # a bound, bounded by its own order, bounded by an order it never
+    # reaches (its first generator alone), and from its strong generators
+    # onto a prefix of moved points.
+    import hashlib
+
+    from edgeprim.groups import _Chain
+    from edgeprim.perms import _kernel
+
+    rng = random.Random(26)
+    contents = []
+    for n in list(range(3, 15)) * 2 + [40, 300] * 4:
+        element = _kernel(n).element
+        if n < 5 or n <= 14 and rng.random() < 0.5:
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(2, 3))]
+        else:
+            gens = _random_generators(rng, n)
+        gens = [element(g) for g in gens]
+        full = _Chain(n, (), gens)
+        moved = [x for x in range(n) if any(g[x] != x for g in gens)] or [0]
+        prefix = rng.sample(moved, min(len(moved), rng.randint(1, 3)))
+        for chain in (
+            full,
+            _Chain(n, (), gens, full.size),
+            _Chain(n, (), gens[:1], full.size),
+            _Chain(n, prefix, full.strong_elements()),
+            _Chain(n, prefix, full.strong_elements(), full.size),
+        ):
+            contents.append(_chain_content(chain))
+    digest = hashlib.sha256(repr(contents).encode()).hexdigest()
+    assert digest == PINNED_CHAINS
 
 
 def _count_sifts(monkeypatch):

@@ -47,8 +47,8 @@ def test_generators_and_identity_pass_contains():
 def test_order_is_product_of_transversal_sizes():
     for g in sample_groups():
         prod = 1
-        for t in g.transversals:
-            prod *= len(t)
+        for i in range(len(g.base)):
+            prod *= len(g.basic_orbit(i))
         assert prod == g.order
 
 

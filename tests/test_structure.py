@@ -444,8 +444,8 @@ def test_is_simple_takes_one_closure_per_class(make, monkeypatch):
     assert len(closures) <= bound
     per_level = sum(
         len(conjugacy_classes(group.pointwise_stabilizer(group.base[:i]))) - 1
-        for i, trans in enumerate(group.transversals)
-        if len(trans) > 1
+        for i in range(len(group.base))
+        if len(group.basic_orbit(i)) > 1
     )
     assert len(closures) <= per_level
 
