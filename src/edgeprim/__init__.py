@@ -45,13 +45,9 @@ from .actions import (
 )
 from .graphs import (
     Graph,
-    LocalAction,
-    SArc,
-    arc_kernel,
     automorphism_group,
     build_graph,
     is_connected,
-    local_action,
     valency,
 )
 from .families import (

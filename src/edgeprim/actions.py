@@ -228,19 +228,23 @@ def _canonical(k, sub: Group, g):
     return rep
 
 
+# The largest coset table built, so the largest coset graph.
+COSET_INDEX_CAP = 10**4
+
+
 class CosetTable:
     """Right cosets of a subgroup, identified by the canonical
     representatives of :func:`right_cosets`, in its order."""
 
-    def __init__(self, group: Group, sub: Group, max_index: int = 10**5):
+    def __init__(self, group: Group, sub: Group):
         if group.degree != sub.degree:
             raise ValueError("degree mismatch")
         order, sub_order = group.order, sub.order
         if order % sub_order != 0:
             raise ValueError("candidate is not a subgroup")
         index = order // sub_order
-        if index > max_index:
-            raise ScaleLimitError(f"coset index {index} exceeds cap {max_index}")
+        if index > COSET_INDEX_CAP:
+            raise ScaleLimitError(f"coset index {index} exceeds cap {COSET_INDEX_CAP}")
         self.group = group
         self.sub = sub
         self._kernel = _kernel(group.degree)

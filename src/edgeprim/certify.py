@@ -14,6 +14,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import families, fileio
 from .perms import _kernel, _order
@@ -30,6 +31,7 @@ from .groups import (
     same_subgroup,
 )
 from .structure import (
+    NORMAL_SWEEP_BOUND,
     _iter_elements_bytes,
     _p_part,
     centralizer,
@@ -54,16 +56,12 @@ from .actions import (
 )
 from .graphs import (
     Graph,
-    LocalAction,
-    arc_kernel,
     automorphism_group,
     check_preserves_edges,
-    first_s_arc,
     is_complete,
     is_complete_bipartite,
     is_connected,
     is_star,
-    local_action,
     valency,
 )
 from .version import CERTIFICATE_SCHEMA_VERSION, TOOL_VERSION
@@ -73,16 +71,17 @@ FAIL = "fail"
 SCALE_LIMIT = "scale-limit"
 NOT_APPLICABLE = "not-applicable"
 
+# The s-arc ladder's top rung: no finite graph of valency at least 3 is
+# 8-arc-transitive (Weiss 1981), so a group transitive on 8-arcs fails.
+S_ARC_CAP = 8
+
 
 @dataclass(frozen=True)
 class RunConfig:
     enumeration_cutoff: int = DEFAULT_ENUMERATION_CUTOFF
-    s_cap: int = 8
     fixture_dir: Path = Path("fixtures")
 
     def __post_init__(self) -> None:
-        if self.s_cap > 8 or self.s_cap < 1:
-            raise ValueError("s_cap must be between 1 and 8")
         if self.enumeration_cutoff < 10**3:
             raise ValueError("enumeration cutoff must be at least 1000")
         object.__setattr__(self, "fixture_dir", Path(self.fixture_dir))
@@ -112,11 +111,20 @@ class Certificate:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+class LocalAction(NamedTuple):
+    """The stabilizer of a vertex, its image on the neighborhood, and the
+    kernel of that action."""
+
+    stabilizer: Group
+    image: Group
+    kernel: Group
+
+
 class Analysis:
     """A group acting on a graph (or only on its points, when ``graph`` is
     None) under one run configuration.  A group that does not act on the
     graph by automorphisms is rejected here, with ``ValueError``, for every
-    check.
+    check and every local fact (:meth:`local`, :meth:`arc_kernel`).
 
     Every fact the checks share is computed on first use and then kept: the
     group on a reduced generating set, the first edge with its setwise and
@@ -154,7 +162,7 @@ class Analysis:
             evidence=evidence,
             config={
                 "enumeration_cutoff": self.config.enumeration_cutoff,
-                "s_cap": self.config.s_cap,
+                "s_cap": S_ARC_CAP,
                 "schema_version": CERTIFICATE_SCHEMA_VERSION,
                 "tool_version": TOOL_VERSION,
             },
@@ -200,9 +208,25 @@ class Analysis:
         return is_edge_primitive(self).verdict == PASS
 
     def local(self, v: int) -> LocalAction:
+        """The vertex stabilizer on the neighborhood, with its kernel."""
         if v not in self._local:
-            self._local[v] = local_action(self.group, self.graph, v)
+            if not 0 <= v < self.graph.n:
+                raise ValueError(f"vertex {v} out of range")
+            nbrs = self.graph.adjacency[v]
+            stab = self.group.point_stabilizer(v)
+            image = restrict_to_invariant_set(stab, nbrs)
+            kernel = self.group.pointwise_stabilizer((v,) + nbrs)
+            if stab.order != image.order * kernel.order:
+                raise AssertionError("local action orders are inconsistent")
+            self._local[v] = LocalAction(stab, image, kernel)
         return self._local[v]
+
+    def arc_kernel(self, u: int, v: int) -> Group:
+        """Elements fixing both neighborhoods of the edge {u, v} pointwise."""
+        adjacency = self.graph.adjacency
+        if ((u, v) if u < v else (v, u)) not in self.graph.edge_set:
+            raise ValueError(f"{{{u}, {v}}} is not an edge")
+        return self.group.pointwise_stabilizer(sorted(set(adjacency[u]) | set(adjacency[v])))
 
     def of_normal(self, normal: Group) -> Analysis:
         """The analysis of a nontrivial normal subgroup on the same graph,
@@ -298,16 +322,17 @@ def _edge_kernel_order(group: Group, graph: Graph, images: list) -> int:
 
 @_once
 def s_transitivity_degree(analysis: Analysis) -> Certificate:
-    """Largest s <= s_cap with the group transitive on s-arcs.
+    """Largest s <= S_ARC_CAP with the group transitive on s-arcs.
 
     Transitivity at each s is decided by exact counting: the group is
     transitive on s-arcs iff its order equals the s-arc count times the
     order of one s-arc stabilizer.  The graph is d-regular here, so it has
     n d (d-1)^(s-1) s-arcs: d choices of the first step and d - 1 of each
-    later one.  No induced group on arcs is built.
+    later one.  The s-arc read at rung s is the first s + 1 vertices of
+    :func:`_least_arc`.  No induced group on arcs is built.
     """
     name = "s-degree"
-    group, graph, config = analysis.group, analysis.graph, analysis.config
+    group, graph = analysis.group, analysis.graph
     evidence: dict = {"group_order": group.order}
     d = valency(graph)
     if not is_connected(graph):
@@ -320,27 +345,22 @@ def s_transitivity_degree(analysis: Analysis) -> Certificate:
     evidence["vertex_transitive"] = analysis.vertex_transitive
     evidence["arc_transitive"] = analysis.arc_transitive
 
-    def transitive_on_s_arcs(s: int) -> tuple[bool, int, int]:
-        count = graph.n * d * (d - 1) ** (s - 1)
-        arc = first_s_arc(graph, s)
-        if arc is None:
-            return False, count, 0
-        stab = group.pointwise_stabilizer(tuple(dict.fromkeys(arc.vertices)))
-        return group.order == count * stab.order, count, stab.order
-
+    arc = _least_arc(graph)
     degree = 0
     ladder = []
-    for s in range(1, config.s_cap + 1):
-        ok, count, stab_order = transitive_on_s_arcs(s)
+    for s in range(1, S_ARC_CAP + 1):
+        count = graph.n * d * (d - 1) ** (s - 1)
+        stab = group.pointwise_stabilizer(tuple(dict.fromkeys(arc[: s + 1])))
+        ok = group.order == count * stab.order
         ladder.append(
-            {"s": s, "arc_count": count, "stabilizer_order": stab_order, "transitive": ok}
+            {"s": s, "arc_count": count, "stabilizer_order": stab.order, "transitive": ok}
         )
         if not ok:
             break
         degree = s
     evidence["ladder"] = ladder
     evidence["s_degree"] = degree
-    if degree >= 2 and config.s_cap >= 8:
+    if degree >= 2:
         # With d >= 3 every 7-arc extends to an 8-arc, so a group transitive
         # on 8-arcs is transitive on 7-arcs and below: the ladder reached 8
         # exactly when the group is transitive on 8-arcs.
@@ -349,6 +369,18 @@ def s_transitivity_degree(analysis: Analysis) -> Certificate:
         if not evidence["weiss_cap_ok"]:
             return analysis.certificate(name, FAIL, evidence)
     return analysis.certificate(name, PASS, evidence)
+
+
+def _least_arc(graph: Graph) -> tuple[int, ...]:
+    """The lexicographically least S_ARC_CAP-arc of a graph of minimum
+    valency at least 2: from the arc (0, first neighbour of 0), each step
+    takes the first neighbour that is not the previous vertex, and that
+    step never dead-ends."""
+    arc = [0, graph.adjacency[0][0]]
+    while len(arc) <= S_ARC_CAP:
+        prev, last = arc[-2], arc[-1]
+        arc.append(next(w for w in graph.adjacency[last] if w != prev))
+    return tuple(arc)
 
 
 @_once
@@ -383,7 +415,7 @@ def _local_evidence(analysis: Analysis, v: int) -> dict:
     u = graph.adjacency[v][0]
     local = analysis.local(v)
     stab, image = local.stabilizer, local.image
-    kernel_uv = arc_kernel(analysis.group, graph, u, v)
+    kernel_uv = analysis.arc_kernel(u, v)
     kernel_v_on_u = restrict_to_invariant_set(local.kernel, graph.adjacency[u])
     p_group, prime = is_p_group(kernel_uv)
     out: dict = {
@@ -783,9 +815,6 @@ def affine_normal_check(analysis: Analysis, normal: Group) -> Certificate:
 # ---------------------------------------------------------------------------
 # Lemma suite over the shipped fixture manifest
 
-NORMAL_SWEEP_BOUND = 10**5
-
-
 @dataclass(frozen=True)
 class SuiteRow:
     fixture: str
@@ -881,7 +910,7 @@ def run_lemma_suite(
             rows.append(SuiteRow(name, "weiss", "G", s_transitivity_degree(analysis)))
         if not pairs or group.order > NORMAL_SWEEP_BOUND:
             continue
-        for normal in normal_subgroups(analysis.reduced, NORMAL_SWEEP_BOUND):
+        for normal in normal_subgroups(analysis.reduced):
             subject = f"N(order={normal.order})"
             for s in pairs:
                 rows.append(SuiteRow(name, s, subject, pair_checks[s](analysis, normal)))

@@ -132,7 +132,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         enumeration_cutoff=args.cutoff,
-        s_cap=args.s_cap,
         fixture_dir=Path(getattr(args, "fixture_dir", "fixtures")),
     )
 
@@ -270,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--group", help="group file; defaults to the full automorphism group")
     p_analyze.add_argument("--check", required=True, help="comma-separated check names")
     p_analyze.add_argument("--cutoff", type=int, default=10**6)
-    p_analyze.add_argument("--s-cap", type=int, default=8, dest="s_cap")
     p_analyze.add_argument("--json", action="store_true")
     p_analyze.add_argument("--out", help="directory for per-check certificate files")
     p_analyze.set_defaults(func=cmd_analyze)
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lemmas.add_argument("--fixture-dir", default="fixtures", dest="fixture_dir")
     p_lemmas.add_argument("--cutoff", type=int, default=10**6)
-    p_lemmas.add_argument("--s-cap", type=int, default=8, dest="s_cap")
     p_lemmas.add_argument("--json", action="store_true")
     p_lemmas.set_defaults(func=cmd_lemmas)
 

@@ -22,7 +22,7 @@ from .groups import (
 )
 from .actions import CosetTable
 from .graphs import Graph, build_graph, is_connected
-from .structure import _is_prime, _iter_elements_bytes
+from .structure import _iter_elements_bytes, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ class FiniteField:
 
 @functools.lru_cache(maxsize=None)
 def gf(p: int, k: int = 1) -> FiniteField:
-    if not _is_prime(p):
+    if prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     if k < 1 or p**k > _MAX_Q:
         raise ValueError(f"field size {p}^{k} out of supported range (<= {_MAX_Q})")
@@ -365,9 +365,6 @@ class CosetGraphSpec:
     connector: Permutation
 
 
-COSET_INDEX_CAP = 10**4
-
-
 def coset_graph(spec: CosetGraphSpec) -> tuple[Graph, Group]:
     """Build the coset graph and the group's image on its vertices.
 
@@ -387,9 +384,9 @@ def coset_graph(spec: CosetGraphSpec) -> tuple[Graph, Group]:
     if not group.contains(a):
         raise ValueError("connector must lie in the group")
 
-    table = CosetTable(group, sub, COSET_INDEX_CAP)
+    table = CosetTable(group, sub)
     index = table.index
-    base_vertex = table.coset_of(_kernel(group.degree).identity)
+    k = _kernel(group.degree)
     a_vertex = table.coset_of(a)
 
     # Neighbors of the base coset: the sub-orbit of Ha under right
@@ -406,12 +403,13 @@ def coset_graph(spec: CosetGraphSpec) -> tuple[Graph, Group]:
                 queue.append(y)
 
     # Translate the base neighborhood by coset representatives; the
-    # adjacency relation is invariant under the (transitive) vertex action.
+    # adjacency relation is invariant under the (transitive) vertex action,
+    # and the representative of coset v carries the base coset to v.
     directed: set[tuple[int, int]] = set()
     for v, rep in enumerate(table.reps):
-        rep_image = table.image_of(rep)
+        rep_table = k.table(rep)
         for w in nbrs:
-            directed.add((rep_image[base_vertex], rep_image[w]))
+            directed.add((v, table.coset_of(k.mul(table.reps[w], rep_table))))
     for v, w in directed:
         if (w, v) not in directed:
             raise ValueError(

@@ -16,8 +16,8 @@ from typing import Sequence
 
 from .perms import Permutation
 from .groups import Group, ScaleLimitError, build_group
+from .actions import COSET_INDEX_CAP
 from .graphs import AUTOMORPHISM_VERTEX_CAP, Graph, build_graph
-from .families import COSET_INDEX_CAP
 
 # The largest graph this package writes or searches, and the largest
 # degree of a group file it reads: coset graphs from ``construct`` reach

@@ -1,4 +1,4 @@
-"""Finite simple graphs, s-arcs, local actions and automorphism search.
+"""Finite simple graphs and automorphism search.
 
 The automorphism search is a partition-refinement backtrack over ordered
 partitions: the canonical (left-most) descent, individualizing in the first
@@ -14,13 +14,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .perms import _kernel
 from .groups import Group, ScaleLimitError, _Chain
-from .actions import restrict_to_invariant_set
 
-S_ARC_CAP = 8
 AUTOMORPHISM_VERTEX_CAP = 1000
 
 
@@ -43,27 +41,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
-
-
-@dataclass(frozen=True)
-class SArc:
-    """An s-arc: consecutive vertices adjacent, no immediate backtracking."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.vertices) - 1
-
-
-@dataclass(frozen=True, eq=False)
-class LocalAction:
-    """The stabilizer of a vertex, its image on the neighborhood, and the
-    kernel of that action."""
-
-    stabilizer: Group
-    image: Group
-    kernel: Group
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
@@ -158,34 +135,6 @@ def is_star(graph: Graph) -> bool:
     return degrees[-1] == graph.n - 1 and all(d == 1 for d in degrees[:-1])
 
 
-def iter_s_arcs(graph: Graph, s: int) -> Iterator[SArc]:
-    if not 1 <= s <= S_ARC_CAP:
-        raise ValueError(f"s must be between 1 and {S_ARC_CAP}")
-    adjacency = graph.adjacency
-
-    def extend(path: list[int]) -> Iterator[SArc]:
-        if len(path) == s + 1:
-            yield SArc(tuple(path))
-            return
-        last, prev = path[-1], path[-2]
-        for w in adjacency[last]:
-            if w != prev:
-                path.append(w)
-                yield from extend(path)
-                path.pop()
-
-    for v in range(graph.n):
-        for u in adjacency[v]:
-            yield from extend([v, u])
-
-
-def first_s_arc(graph: Graph, s: int) -> SArc | None:
-    """Lexicographically smallest s-arc, or None."""
-    for arc in iter_s_arcs(graph, s):
-        return arc
-    return None
-
-
 def is_automorphism(graph: Graph, images) -> bool:
     """Whether an image sequence (a kernel element, or any sequence) of a
     bijection on the vertices maps every edge to an edge."""
@@ -207,30 +156,6 @@ def check_preserves_edges(graph: Graph, group: Group) -> None:
     for g in group.gens:
         if not is_automorphism(graph, g):
             raise ValueError("a generator of the group is not a graph automorphism")
-
-
-def local_action(group: Group, graph: Graph, v: int) -> LocalAction:
-    """The vertex stabilizer on the neighborhood, with its kernel."""
-    check_preserves_edges(graph, group)
-    if not 0 <= v < graph.n:
-        raise ValueError(f"vertex {v} out of range")
-    nbrs = graph.adjacency[v]
-    stab = group.point_stabilizer(v)
-    image = restrict_to_invariant_set(stab, nbrs)
-    kernel = group.pointwise_stabilizer((v,) + nbrs)
-    if stab.order != image.order * kernel.order:
-        raise AssertionError("local action orders are inconsistent")
-    return LocalAction(stabilizer=stab, image=image, kernel=kernel)
-
-
-def arc_kernel(group: Group, graph: Graph, u: int, v: int) -> Group:
-    """Elements fixing both neighborhoods of an edge pointwise."""
-    check_preserves_edges(graph, group)
-    pair = (u, v) if u < v else (v, u)
-    if pair not in graph.edge_set:
-        raise ValueError(f"{{{u}, {v}}} is not an edge")
-    points = sorted(set(graph.adjacency[u]) | set(graph.adjacency[v]))
-    return group.pointwise_stabilizer(points)
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ def is_simple(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
     order = group.order
     if order == 1:
         raise ValueError("simplicity is undefined for the trivial group")
-    if _is_prime(order):
+    if prime_factors(order) == [order]:
         return True
     if is_abelian(group):
         return False
@@ -344,9 +344,12 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
     return True
 
 
-def normal_subgroups(group: Group, bound: int = 10**5) -> list[Group]:
+NORMAL_SWEEP_BOUND = 10**5
+
+
+def normal_subgroups(group: Group) -> list[Group]:
     """All nontrivial normal subgroups, by order, the group itself last
-    (as ``group``); an order ≤ bound scan.
+    (as ``group``); a scan of order at most ``NORMAL_SWEEP_BOUND``.
 
     A normal subgroup is a union of conjugacy classes, so the lattice is
     closed on sets of class indices.  The subgroup generated by a class C
@@ -364,7 +367,7 @@ def normal_subgroups(group: Group, bound: int = 10**5) -> list[Group]:
     Closures come in class order and joins in pair order, and the sort
     by order is stable.
     """
-    _check_cutoff(group, bound, "normal subgroup sweep")
+    _check_cutoff(group, NORMAL_SWEEP_BOUND, "normal subgroup sweep")
     k = _kernel(group.degree)
     classes, class_of = _classes(group)
     reps = [k.table(members[0]) for members in classes]
@@ -438,7 +441,7 @@ def sylow_subgroup(
     One chain grows by each new p-element; the result equals
     ``build_group`` of those elements in the order they were found.
     """
-    if not _is_prime(p):
+    if prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     _check_cutoff(group, cutoff, "Sylow subgroup search")
     target = _p_part(group.order, p)
@@ -472,21 +475,6 @@ def _power(x, e: int):
         for i, a in enumerate(cycle):
             images[a] = cycle[(i + e) % len(cycle)]
     return _kernel(len(x)).element(images)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _p_part(n: int, p: int) -> int:

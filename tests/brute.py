@@ -320,8 +320,26 @@ def brute_edge_action(edges: list[tuple[int, int]], gens: list[tuple[int, ...]])
     return kernel, len(set(images)), None
 
 
+def brute_s_arcs(graph, s: int):
+    """The s-arcs (walks of s steps, none straight back), lexicographically,
+    by a depth-first search over neighbour sets built from the edge list."""
+    nbrs: dict[int, set[int]] = {v: set() for v in range(graph.n)}
+    for u, v in graph.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+
+    def extend(walk: list[int]):
+        if len(walk) == s + 1:
+            yield tuple(walk)
+            return
+        for w in sorted(nbrs[walk[-1]]):
+            if len(walk) < 2 or w != walk[-2]:
+                yield from extend(walk + [w])
+
+    for v in range(graph.n):
+        yield from extend([v])
+
+
 def brute_s_arc_count(graph, s: int) -> int:
     """The number of s-arcs, by listing them all."""
-    from edgeprim.graphs import iter_s_arcs
-
-    return len(list(iter_s_arcs(graph, s)))
+    return sum(1 for _ in brute_s_arcs(graph, s))

@@ -178,6 +178,39 @@ def test_coset_graph_round_trip_reconstruction():
     assert automorphism_group(graph).order == 336
 
 
+def test_coset_graph_translates_only_the_base_neighbourhood(monkeypatch):
+    # PSL(2,17) on the 1,224 cosets of an involution x, joined by an
+    # involution a that does not commute with x: each vertex costs one
+    # canonical coset per neighbour, where the whole image of each coset
+    # representative costs 1,224.  Every vertex has the two neighbours
+    # |H : H meet H^a| of the relation, and every edge {Hu, Hw} has
+    # w u^-1 in HaH, so the edges are exactly the relation's.
+    from edgeprim.actions import CosetTable
+    from edgeprim.structure import elements
+    from brute import compose_t, inverse_t
+
+    group = psl2(17)
+    involutions = [tuple(g) for g in elements(group) if Permutation(tuple(g)).order() == 2]
+    x = involutions[0]
+    a = next(g for g in involutions if compose_t(x, g) != compose_t(g, x))
+    sub = build_group([Permutation(x)])
+    calls = []
+    canonical = CosetTable.canonical
+    monkeypatch.setattr(
+        CosetTable, "canonical", lambda self, g: calls.append(1) or canonical(self, g)
+    )
+    graph, _image = coset_graph(CosetGraphSpec(group=group, subgroup=sub, connector=Permutation(a)))
+    assert graph.n == 1224
+    assert len(calls) < 10 * graph.n
+    assert valency(graph) == 2
+
+    one = tuple(range(group.degree))
+    double_coset = {compose_t(compose_t(h, a), k) for h in (one, x) for k in (one, x)}
+    reps = [tuple(r) for r in CosetTable(group, sub).reps]
+    for u, w in graph.edges:
+        assert compose_t(reps[w], inverse_t(reps[u])) in double_coset
+
+
 def test_coset_graph_connector_validation():
     s4 = build_group([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])])
     s3 = build_group([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2)])])

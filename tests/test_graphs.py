@@ -4,8 +4,8 @@ import random
 import pytest
 
 from edgeprim import (
+    Analysis,
     ScaleLimitError,
-    arc_kernel,
     automorphism_group,
     build_graph,
     build_group,
@@ -15,18 +15,13 @@ from edgeprim import (
     from_cycles,
     heawood,
     is_connected,
-    local_action,
     petersen,
+    s_transitivity_degree,
     valency,
 )
-from edgeprim.graphs import (
-    first_s_arc,
-    is_automorphism,
-    is_complete_bipartite,
-    is_star,
-    iter_s_arcs,
-)
-from brute import brute_automorphisms, brute_s_arc_count, diameter, girth
+from edgeprim.certify import _FIXTURES, S_ARC_CAP, RunConfig, _least_arc
+from edgeprim.graphs import is_automorphism, is_complete_bipartite, is_star
+from brute import brute_automorphisms, brute_s_arc_count, brute_s_arcs, diameter, girth
 
 
 def test_build_graph_validation():
@@ -87,20 +82,26 @@ def test_s_arc_formula_on_regular_fixtures(hs_graph):
 
 
 def test_s_arc_validity():
-    for arc in iter_s_arcs(petersen(), 3):
-        vs = arc.vertices
-        assert len(vs) == 4
+    # The arc the s-degree ladder climbs is an 8-arc: it steps along edges
+    # and never straight back, also where it revisits a vertex.
+    for g in (petersen(), heawood(), complete_graph(4), complete_bipartite(3)):
+        vs = _least_arc(g)
+        assert len(vs) == S_ARC_CAP + 1
         for a, b in zip(vs, vs[1:]):
-            assert b in petersen().adjacency[a]
+            assert b in g.adjacency[a]
         for a, b in zip(vs, vs[2:]):
             assert a != b
 
 
 def test_s_arc_cap():
-    with pytest.raises(ValueError):
-        list(iter_s_arcs(complete_graph(4), 9))
-    with pytest.raises(ValueError):
-        list(iter_s_arcs(complete_graph(4), 0))
+    # The ladder's cap is fixed at 8 and recorded in every certificate;
+    # there is no option that moves it.
+    hw = heawood()
+    cert = s_transitivity_degree(Analysis(automorphism_group(hw), hw))
+    assert S_ARC_CAP == 8
+    assert cert.config["s_cap"] == 8
+    assert [row["transitive"] for row in cert.evidence["ladder"]] == [True] * 4 + [False]
+    assert "s_cap" not in RunConfig.__dataclass_fields__
 
 
 def test_hs_three_arc_count(hs_graph):
@@ -144,40 +145,41 @@ def test_automorphism_scale_gate():
 def test_local_action_k5():
     k5 = complete_graph(5)
     g = automorphism_group(k5)
-    la = local_action(g, k5, 0)
+    la = Analysis(g, k5).local(0)
     assert la.image.order == 24
     assert la.kernel.order == 1
     stab = g.point_stabilizer(0)
     assert stab.order == la.image.order * la.kernel.order
+    with pytest.raises(ValueError, match="out of range"):
+        Analysis(g, k5).local(5)
 
 
 def test_local_action_heawood():
     hw = heawood()
     g = automorphism_group(hw)
-    la = local_action(g, hw, 0)
+    la = Analysis(g, hw).local(0)
     assert la.image.order == 6
     assert la.kernel.order == 4
 
 
 def test_local_action_rejects_non_automorphisms():
-    k5 = complete_graph(5)
-    not_aut = build_group([from_cycles(5, [(0, 1)])])
+    # The analysis refuses the group before any local fact is read.
     path = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    with pytest.raises(ValueError):
-        local_action(build_group([from_cycles(5, [(0, 4)])]), path, 0)
+    with pytest.raises(ValueError, match="not a graph automorphism"):
+        Analysis(build_group([from_cycles(5, [(0, 4)])]), path).local(0)
 
 
 def test_arc_kernel_examples():
     k5 = complete_graph(5)
     g5 = automorphism_group(k5)
-    assert arc_kernel(g5, k5, 0, 1).order == 1
+    assert Analysis(g5, k5).arc_kernel(0, 1).order == 1
     hw = heawood()
-    gh = automorphism_group(hw)
+    analysis = Analysis(automorphism_group(hw), hw)
     u, v = hw.edges[0]
-    k = arc_kernel(gh, hw, u, v)
-    assert k.order == 2
-    with pytest.raises(ValueError):
-        arc_kernel(gh, hw, 0, 1)  # not an edge
+    assert analysis.arc_kernel(u, v).order == 2
+    assert analysis.arc_kernel(v, u).order == 2
+    with pytest.raises(ValueError, match="not an edge"):
+        analysis.arc_kernel(0, 1)
 
 
 def test_local_action_identity_across_fixtures(hs_graph, hs_aut):
@@ -188,14 +190,43 @@ def test_local_action_identity_across_fixtures(hs_graph, hs_aut):
         (hs_graph, hs_aut),
     ]
     for graph, group in fixtures:
-        la = local_action(group, graph, 0)
+        la = Analysis(group, graph).local(0)
         assert group.point_stabilizer(0).order == la.image.order * la.kernel.order
 
 
 def test_first_s_arc_is_lexicographically_least():
-    p = petersen()
-    arc = first_s_arc(p, 2)
-    assert arc.vertices == (0, 1, 2)
+    # On every graph of the lemma fixtures, the first s + 1 vertices of the
+    # ladder's arc are the oracle's first s-arc, for s = 1..8, and that is
+    # the least of all s-arcs (checked in full up to s = 3).
+    assert _least_arc(petersen())[:3] == (0, 1, 2)
+    graphs = [make_graph() for make_graph, _group in _FIXTURES.values() if make_graph]
+    assert len(graphs) == 6
+    for g in graphs:
+        arc = _least_arc(g)
+        for s in range(1, S_ARC_CAP + 1):
+            assert next(brute_s_arcs(g, s)) == arc[: s + 1]
+        for s in range(1, 4):
+            assert min(brute_s_arcs(g, s)) == arc[: s + 1]
+
+
+def test_the_ladder_climbs_the_least_arc(monkeypatch):
+    # Each rung reads the pointwise stabilizer of the arc's first s + 1
+    # vertices, repeats dropped (K4's 3-arc closes a triangle).
+    from edgeprim.groups import Group
+
+    for g in (heawood(), complete_graph(4)):
+        analysis = Analysis(automorphism_group(g), g)
+        assert analysis.arc_transitive  # its stabilizer is read before the ladder
+        calls = []
+        read = Group.pointwise_stabilizer
+        monkeypatch.setattr(
+            Group, "pointwise_stabilizer",
+            lambda self, points: calls.append(tuple(points)) or read(self, points),
+        )
+        ladder = s_transitivity_degree(analysis).evidence["ladder"]
+        monkeypatch.undo()
+        arc = _least_arc(g)
+        assert calls == [tuple(dict.fromkeys(arc[: s + 1])) for s in range(1, len(ladder) + 1)]
 
 
 def brute_girth(n, edges):
@@ -410,20 +441,20 @@ def test_chain_base_starts_with_the_first_edge(hs_graph, hs_aut):
 
 
 def test_arc_stabilizers_on_hoffman_singleton_are_chain_reads(hs_graph, hs_aut, monkeypatch):
-    # The arc and the 1- and 2-arc stabilizers of s-degree (s_cap 2 skips
-    # the s = 8 probe) are base images, and the edge stabilizer is read off
-    # the arc's, so no Schreier-Sims runs.
-    from edgeprim import Analysis, RunConfig, s_transitivity_degree
+    # The arc stabilizer and the first two rungs of s-degree (its 1- and
+    # 2-arc stabilizers) are base images, and the edge stabilizer is read
+    # off the arc's, so no Schreier-Sims runs.
     from edgeprim.groups import _Chain
 
     sifts = []
     sift = _Chain.sift
     monkeypatch.setattr(_Chain, "sift", lambda *args: sifts.append(1) or sift(*args))
-    analysis = Analysis(hs_aut, hs_graph, config=RunConfig(s_cap=2))
+    analysis = Analysis(hs_aut, hs_graph)
     assert analysis.arc_stabilizer.order == 720
     assert analysis.edge_stabilizer.order == 1440
-    cert = s_transitivity_degree(analysis)
-    assert [row["stabilizer_order"] for row in cert.evidence["ladder"]] == [720, 120]
+    arc = _least_arc(hs_graph)
+    rungs = [analysis.group.pointwise_stabilizer(arc[: s + 1]) for s in (1, 2)]
+    assert [stab.order for stab in rungs] == [720, 120]
     assert sifts == []
 
 

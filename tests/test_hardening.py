@@ -87,7 +87,7 @@ def test_coset_action_with_nontrivial_kernel():
 def test_coset_action_index_cap():
     s8 = build_group([from_cycles(8, [(0, 1)]), from_cycles(8, [(0, 1, 2, 3, 4, 5, 6, 7)])])
     with pytest.raises(ScaleLimitError):
-        CosetTable(s8, trivial_group(8), max_index=1000)
+        CosetTable(s8, trivial_group(8))  # index 40320, cap 10^4
 
 
 def test_error_paths():

@@ -13,7 +13,6 @@ from edgeprim import (
     identity,
     is_edge_primitive,
     is_k_transitive,
-    local_action,
     perfect_core,
     petersen,
     pgl2,
@@ -92,26 +91,26 @@ def test_two_arc_transitive_iff_locally_two_transitive():
         (petersen(), None),
     ]
     for graph, group in fixtures:
-        group = group or automorphism_group(graph)
-        cert = s_transitivity_degree(Analysis(group, graph))
+        analysis = Analysis(group or automorphism_group(graph), graph)
+        cert = s_transitivity_degree(analysis)
         if cert.verdict != PASS:
             continue
         if not (cert.evidence["vertex_transitive"] and cert.evidence["arc_transitive"]):
             continue
         locally_2t = []
         for v in range(graph.n):
-            la = local_action(group, graph, v)
-            locally_2t.append(is_k_transitive(la.image, 2))
+            locally_2t.append(is_k_transitive(analysis.local(v).image, 2))
         assert all(locally_2t) == (cert.evidence["s_degree"] >= 2)
 
 
 def test_hs_lemma_instances(hs_graph, hs_aut, hs_core):
-    from edgeprim import arc_kernel, counting_identity_check, sylow_arc_check
+    from edgeprim import counting_identity_check, sylow_arc_check
 
+    analysis = Analysis(hs_aut, hs_graph)
     u, v = hs_graph.edges[0]
-    assert arc_kernel(hs_aut, hs_graph, u, v).order == 1
+    assert analysis.arc_kernel(u, v).order == 1
 
-    la = local_action(hs_aut, hs_graph, 0)
+    la = analysis.local(0)
     assert la.image.degree == 7
     assert is_k_transitive(la.image, 2)
 

@@ -23,7 +23,7 @@ from edgeprim import (
 from edgeprim.families import agammal1, agl1, pgl2, psl2
 from edgeprim.groups import derived_subgroup, is_abelian, normal_closure
 from edgeprim.perms import _kernel
-from edgeprim.structure import _is_prime
+from edgeprim.structure import prime_factors
 from brute import brute_closure, brute_normalizer, compose_t, inverse_t
 
 
@@ -182,7 +182,7 @@ def _class_closure_is_simple(group):
     """Reference: simple iff the normal closure of every nontrivial class
     representative of the whole group is the whole group."""
     order = group.order
-    if _is_prime(order):
+    if prime_factors(order) == [order]:
         return True
     if is_abelian(group):
         return False
@@ -369,7 +369,7 @@ def test_is_simple_agrees_with_class_closures_on_random_almost_simple_subgroups(
             assert verdict == _class_closure_is_simple(group), [
                 g.images for g in group.generators
             ]
-            checked[verdict, _is_prime(group.order)] += 1
+            checked[verdict, prime_factors(group.order) == [group.order]] += 1
     assert checked[True, False] and checked[False, False]
 
 
