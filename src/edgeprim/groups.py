@@ -6,7 +6,8 @@ orbit-and-Schreier loop): no randomization, base points chosen as the
 smallest point moved by the residue that creates each level, orbits
 explored breadth-first in generator order.  Two builds from the same
 generator sequence therefore produce identical bases and transversals,
-which is what makes downstream certificates replayable.
+which is what makes downstream certificates replayable; the seeded
+:func:`_is_whole` only proves subgroups whole, and freezes no chain.
 
 Transversal convention: :meth:`Group.representative` (i, beta) is a kernel
 element ``t`` with ``t[base[i]] == beta``, for beta in
@@ -57,10 +58,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import random
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Sequence
 
-from .perms import Permutation, _kernel
+from .perms import Permutation, _cycles, _kernel
 
 
 class ScaleLimitError(RuntimeError):
@@ -122,9 +124,10 @@ class _Chain:
         """Strip p through the chain from level ``start`` (see :func:`_sift`)."""
         return _sift(self.kernel.mul, self.points, self.inverses, p, start)
 
-    def _absorb(self, p, start: int) -> bool:
+    def _absorb(self, p, start: int, caps: Sequence[int] | None = None) -> bool:
         """Sift p from level ``start``; install a residue other than the
-        identity as a strong generator and complete its levels up to start."""
+        identity as a strong generator and complete its levels up to start,
+        or only grow their orbits below ``caps`` (see :func:`_is_whole`)."""
         residue, depth = self.sift(p, start)
         if residue == self.identity:
             return False
@@ -133,14 +136,16 @@ class _Chain:
         self.strong.append(self.kernel.table(residue))
         self.level_of.append(depth)
         for lvl in range(depth, start - 1, -1):
-            self._complete(lvl)
+            if caps is None or len(self.transversals[lvl]) < caps[lvl]:
+                self._complete(lvl, schreier=caps is None)
             if self.full():
                 break
         return True
 
-    def _complete(self, i: int) -> None:
+    def _complete(self, i: int, schreier: bool = True) -> None:
         """Grow level i's orbit and sift its Schreier generators until none
-        are pending; deeper levels must already be complete.
+        are pending; deeper levels must already be complete.  Without
+        ``schreier`` the walk only grows the orbit.
 
         A breadth-first walk of the orbit takes each point a with each
         generator g of level i or deeper.  A new image b = a^g becomes a
@@ -171,6 +176,8 @@ class _Chain:
                         self.size = self.size // (len(orbit) - 1) * len(orbit)
                         if self.full():
                             return
+                        continue
+                    if not schreier:
                         continue
                     sg = mul(mul(t, g), b_inv)
                     if sg != identity and self._absorb(sg, i + 1):
@@ -223,7 +230,7 @@ class Group:
         """The generators as validated permutations, for output."""
         return tuple(map(Permutation, self.gens))
 
-    @property
+    @functools.cached_property
     def order(self) -> int:
         return math.prod(len(t) for t in self.transversals)
 
@@ -250,9 +257,6 @@ class Group:
     def representatives(self, level: int):
         """The level's representatives, in :meth:`basic_orbit` order."""
         return self.transversals[level].values()
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
     def orbit(self, point: int) -> tuple[int, ...]:
         """The G-orbit of a point, sorted."""
@@ -490,21 +494,21 @@ def _conjugators(group: Group) -> list:
     return [(k.inverse(e), k.table(e)) for e in group.gens]
 
 
-def normal_closure(group: Group, seeds: Iterable) -> Group:
+def normal_closure(group: Group, seeds: Iterable, order: int | None = None) -> Group:
     """Smallest normal subgroup of group containing the seed kernel elements.
 
     One chain grows by every conjugate it does not yet contain; its
     generating set is the seeds followed by those conjugates in the order
     they were met, so the result equals ``build_group`` of that sequence.
-    The chain is bounded by the order of the group: once it reaches it the
-    closure is the whole group, and conjugation stops.
+    The chain is bounded by ``order`` (as for :func:`build_group`), else
+    by the group's: once it reaches it, conjugation stops.
     """
     k = _kernel(group.degree)
     gens = [s for s in seeds if s != k.identity]
     for s in gens:
         if not group.contains(s):
             raise ValueError("seed element is not in the group")
-    chain = _Chain(group.degree, (), gens, group.order)
+    chain = _Chain(group.degree, (), gens, order or group.order)
     frontier = list(gens)
     gen_pairs = _conjugators(group)
     while frontier:
@@ -522,33 +526,104 @@ def normal_closure(group: Group, seeds: Iterable) -> Group:
     return chain.suffix_group(gens)
 
 
+# The seed of _is_whole, the most elements it sifts, the sifts in a row that
+# may leave its chain unchanged, and the pairs reduce_generators tries.
+_FILL_SEED = 1995
+_FILL_BUDGET = 64
+_FILL_STALL = 8
+_FILL_PAIRS = 4
+
+
+def _is_whole(group: Group, elements: Iterable) -> bool:
+    """True only when the elements, all in one subgroup H, prove H = G.
+
+    They are sifted into a chain on G's base that installs residues and
+    grows each orbit still short of G's by tree edges alone, forming no
+    Schreier generator.  Its transversal elements lie in H, so, as for the
+    known-order stop in the module docstring, its orbit product is at most
+    |H|; twice it above |G| proves H = G, as a proper subgroup has index at
+    least 2 (Babai, Cooperman, Finkelstein, Luks & Seress, *Fast Monte
+    Carlo algorithms for permutation groups*, JCSS 1995).  The chain is
+    never frozen: its orbits may be short and its Schreier pairs unsifted.
+    """
+    chain, stalled = _Chain(group.degree, group.base), 0
+    caps = [len(trans) for trans in group.transversals]
+    for x in itertools.islice(elements, _FILL_BUDGET):
+        stalled = 0 if chain._absorb(x, 0, caps) else stalled + 1
+        if 2 * chain.size > group.order or stalled == _FILL_STALL:
+            break
+    return 2 * chain.size > group.order
+
+
+def _uniforms(group: Group, rng: random.Random) -> Iterator:
+    """Uniform random elements of the group, each with its inverse: one
+    random representative per level."""
+    k = _kernel(group.degree)
+    levels = [[(t, inv[x]) for x, t in trans.items()]
+              for trans, inv in zip(group.transversals, group._inverse_tables)]
+    while True:
+        g = g_inv = k.identity
+        for u, u_inv in map(rng.choice, levels):
+            g, g_inv = k.mul(u, k.table(g)), k.mul(g_inv, u_inv)
+        yield g, g_inv
+
+
+def _closure_is_whole(group: Group, seeds: Sequence) -> bool:
+    """Whether :func:`_is_whole` proves the seeds' normal closure whole from
+    conjugates of random seeds by uniform elements (False says nothing)."""
+    k, rng = _kernel(group.degree), random.Random(_FILL_SEED)
+    tables = [k.table(s) for s in seeds]
+    return _is_whole(group, (
+        k.mul(k.mul(g_inv, rng.choice(tables)), k.table(g)) for g, g_inv in _uniforms(group, rng)
+    ))
+
+
+def _words(pair: Sequence, rng: random.Random) -> Iterator:
+    """Random words in the pair: product replacement with an accumulator
+    (Celler, Leedham-Green, Murray, Niemeyer & O'Brien, 1995)."""
+    k = _kernel(len(pair[0]))
+    state, r = list(pair) * 2, k.identity
+    while True:
+        i, j = rng.sample(range(len(state)), 2)
+        state[i] = k.mul(state[i], k.table(state[j]))
+        r = k.mul(r, k.table(state[i]))
+        yield r
+
+
+def _commutators(group: Group) -> list:
+    """The distinct nontrivial commutators of the generators, in order."""
+    k = _kernel(group.degree)
+    pairs = _conjugators(group)
+    commutators = dict.fromkeys(
+        k.mul(k.mul(k.mul(a_inv, k.table(b_inv)), a), b)
+        for a_inv, a in pairs for b_inv, b in pairs if a != b
+    )
+    return [c for c in commutators if c != k.identity]
+
+
 def derived_subgroup(group: Group) -> Group:
     """Normal closure of the commutators of the generators."""
-    k = _kernel(group.degree)
-    commutators = []
-    seen = {k.identity}
-    pairs = _conjugators(group)
-    for a_inv, a in pairs:
-        for b_inv, b in pairs:
-            if a == b:
-                continue
-            comm = k.mul(k.mul(k.mul(a_inv, k.table(b_inv)), a), b)
-            if comm not in seen:
-                seen.add(comm)
-                commutators.append(comm)
-    return normal_closure(group, commutators)
+    return normal_closure(group, _commutators(group))
 
 
 def perfect_core(group: Group) -> Group:
     """Limit of the derived series: the largest perfect subgroup in it.
+
     Each step is re-built on few generators, as a derived subgroup keeps
-    every commutator and conjugate it was closed from."""
-    current = group
-    while True:
-        nxt = derived_subgroup(current)
-        if nxt.order == current.order:
-            return current
+    every commutator and conjugate it was closed from.  A step after the
+    first is not built when :func:`_closure_is_whole` proves the group
+    perfect; the first is bounded by half the order when a generator is
+    odd, as every commutator is even.
+    """
+    odd = any((sum(map(len, c)) - len(c)) % 2 for c in map(_cycles, group.gens))
+    current, nxt = group, normal_closure(group, _commutators(group), group.order // (1 + odd))
+    while nxt.order != current.order:
         current = reduce_generators(nxt)
+        commutators = _commutators(current)
+        if commutators and _closure_is_whole(current, commutators):
+            break
+        nxt = normal_closure(current, commutators)
+    return current
 
 
 def is_abelian(group: Group) -> bool:
@@ -561,12 +636,21 @@ def is_abelian(group: Group) -> bool:
 
 
 def reduce_generators(group: Group) -> Group:
-    """Same group, re-built from a greedily chosen small generating subset.
+    """The same group on at most two generators: itself if it has so few,
+    else a seeded pair of uniform elements that :func:`_is_whole` proves
+    generates it, on this group's own chain.
 
-    One chain, bounded by the group's order, grows by each generator and
-    strong generator it does not yet contain, until it is full; the result
-    equals ``build_group`` of the chosen sequence.
+    Failing that, one chain, bounded by the group's order, grows by each
+    generator and strong generator it does not yet contain, until it is
+    full; the result is then ``build_group`` of the chosen sequence.
     """
+    if len(group.gens) <= 2:
+        return group
+    rng = random.Random(_FILL_SEED)
+    uniform = _uniforms(group, rng)
+    for (a, _), (b, _) in itertools.islice(zip(uniform, uniform), _FILL_PAIRS):
+        if _is_whole(group, _words((a, b), rng)):
+            return replace(group, gens=(a, b))
     chain = _Chain(group.degree, order=group.order)
     chosen = [g for g in group.gens + group.strong_gens if chain.add_generator(g)]
     return chain.suffix_group(chosen)

@@ -8,7 +8,8 @@ one representative per right coset of the subgroup, not the group (see
 :func:`normalizer`).  Simplicity goes down the group's own stabilizer
 chain: at each level it walks only the cosets of two-point stabilizers
 that can hold a generator of a semiregular normal subgroup, picked out by
-their fixed points, and it computes no conjugacy classes (see
+their fixed points, and it computes no conjugacy classes; a seeded fill
+proves most candidates' normal closures whole without building them (see
 :func:`is_simple`).  The centralizer of a subgroup is a backtrack over the
 images of its orbit representatives, pruned down the group's chain (see
 :func:`centralizer`).  Every entry point is still gated by an explicit
@@ -35,6 +36,7 @@ from .groups import (
     Group,
     ScaleLimitError,
     _Chain,
+    _closure_is_whole,
     _conjugators,
     is_abelian,
     is_subgroup,
@@ -258,7 +260,9 @@ def is_simple(group: Group, cutoff: int = DEFAULT_ENUMERATION_CUTOFF) -> bool:
     transversal of H rebased at beta, gives beta^c = gamma^(t_beta).  So
     only the points gamma of beta's H-orbit whose image under t_beta is a
     point of Fix(H_beta) other than beta are walked, each over the
-    elements h of H_beta.
+    elements h of H_beta.  The seeded fill of
+    :func:`edgeprim.groups._closure_is_whole` proves most closures whole
+    before any is built, so False always comes from a built normal closure.
 
     Normal closure is a class invariant, so once c passes, each of its
     conjugates that the same level could meet is marked and skipped: for a
@@ -319,17 +323,19 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
             cosets.append((stab_beta, starts, list(map(table, commuting))))
     passed: set = set()
     for stab_beta, starts, commuting in cosets:
+        g0 = commuting[0]
+        moved = next((x for x in range(group.degree) if g0[x] != x), 0)
         for start in starts:
             for h in _iter_elements_bytes(stab_beta):
                 c = mul(h, start)
-                if c in passed:
+                if c in passed or c[g0[moved]] != g0[c[moved]]:
                     continue
                 c_table = table(c)
                 if any(mul(c_table, g) != mul(g, c_table) for g in commuting) or any(
                     c[x] == x for x in to
                 ):
                     continue
-                if normal_closure(group, [c]).order != order:
+                if not _closure_is_whole(group, [c]) and normal_closure(group, [c]).order != order:
                     return False
                 on_cycle: set = set()
                 for x in to:
@@ -449,7 +455,7 @@ def sylow_subgroup(
     gens = []
     current = trivial_group(group.degree)
     while current.order < target:
-        ambient = group if current.is_trivial() else normalizer(group, current, cutoff)
+        ambient = group if current.order == 1 else normalizer(group, current, cutoff)
         grown = False
         for x in _iter_elements_bytes(ambient):
             m = _order(x)

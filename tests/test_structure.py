@@ -427,17 +427,18 @@ def test_is_simple_takes_one_closure_per_class(make, monkeypatch):
     # a coset is a semiregular candidate.  Marking the conjugates of each
     # candidate that passes keeps each level i of the chain to one normal
     # closure per nontrivial class of G_(i), as a class walk over G_(i)
-    # would take; at level 0 that is one per class of the group.
-    from edgeprim import structure
+    # would take; at level 0 that is one per class of the group.  Each
+    # candidate asks the seeded fill before any normal closure is built.
+    from edgeprim import groups, structure
 
     group = make()
     closures = []
 
     def counting(group, seeds):
         closures.append(seeds)
-        return normal_closure(group, seeds)
+        return groups._closure_is_whole(group, seeds)
 
-    monkeypatch.setattr(structure, "normal_closure", counting)
+    monkeypatch.setattr(structure, "_closure_is_whole", counting)
     assert is_simple(group)
     stab = group.point_stabilizer(group.base[0])
     bound = len(conjugacy_classes(stab)) - 1 + len(conjugacy_classes(group)) - 1
