@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .perms import _kernel
-from .groups import Group, ScaleLimitError, _Chain
+from .groups import COSET_INDEX, Group, ScaleLimitError, _Chain
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,10 +228,6 @@ def _canonical(k, sub: Group, g):
     return rep
 
 
-# The largest coset table built, so the largest coset graph.
-COSET_INDEX_CAP = 10**4
-
-
 class CosetTable:
     """Right cosets of a subgroup, identified by the canonical
     representatives of :func:`right_cosets`, in its order."""
@@ -243,8 +239,8 @@ class CosetTable:
         if order % sub_order != 0:
             raise ValueError("candidate is not a subgroup")
         index = order // sub_order
-        if index > COSET_INDEX_CAP:
-            raise ScaleLimitError(f"coset index {index} exceeds cap {COSET_INDEX_CAP}")
+        if index > COSET_INDEX.limit:
+            raise ScaleLimitError(COSET_INDEX, index, "coset table")
         self.group = group
         self.sub = sub
         self._kernel = _kernel(group.degree)

@@ -20,6 +20,7 @@ from . import families, fileio
 from .perms import _kernel, _order
 from .groups import (
     DEFAULT_ENUMERATION_CUTOFF,
+    NORMAL_SWEEP,
     Group,
     ScaleLimitError,
     _Chain,
@@ -31,7 +32,6 @@ from .groups import (
     same_subgroup,
 )
 from .structure import (
-    NORMAL_SWEEP_BOUND,
     _iter_elements_bytes,
     _p_part,
     centralizer,
@@ -172,6 +172,11 @@ class Analysis:
         evidence = dict(evidence)
         evidence["violated_hypothesis"] = gate
         return self.certificate(name, NOT_APPLICABLE, evidence)
+
+    def scale_limit(self, name: str, exc: ScaleLimitError, evidence: dict) -> Certificate:
+        """A check refused at a cap, with the evidence gathered before it."""
+        evidence["scale_limit"] = str(exc)
+        return self.certificate(name, SCALE_LIMIT, evidence)
 
     @property
     def edge(self) -> tuple[int, int]:
@@ -462,19 +467,14 @@ def almost_simple_certificate(analysis: Analysis) -> Certificate:
     evidence["core_index"] = group.order // core.order
     try:
         simple = is_simple(core, cutoff)
-    except ScaleLimitError as exc:
-        evidence["scale_limit"] = str(exc)
-        return analysis.certificate(name, SCALE_LIMIT, evidence)
-    evidence["core_simple"] = simple
-    if not simple:
-        return analysis.certificate(name, FAIL, evidence)
-    normal = is_normal(reduced, core)
-    evidence["core_normal"] = normal
-    try:
+        evidence["core_simple"] = simple
+        if not simple:
+            return analysis.certificate(name, FAIL, evidence)
+        normal = is_normal(reduced, core)
+        evidence["core_normal"] = normal
         cent = centralizer(reduced, core, cutoff)
     except ScaleLimitError as exc:
-        evidence["scale_limit"] = str(exc)
-        return analysis.certificate(name, SCALE_LIMIT, evidence)
+        return analysis.scale_limit(name, exc, evidence)
     evidence["centralizer_order"] = cent.order
     verdict = PASS if normal and cent.order == 1 else FAIL
     return analysis.certificate(name, verdict, evidence)
@@ -712,8 +712,7 @@ def selfnorm_check(analysis: Analysis, normal: Group) -> Certificate:
     try:
         norm = normalizer(normal, n_edge, analysis.config.enumeration_cutoff)
     except ScaleLimitError as exc:
-        evidence["scale_limit"] = str(exc)
-        return analysis.certificate(name, SCALE_LIMIT, evidence)
+        return analysis.scale_limit(name, exc, evidence)
     evidence["normalizer_order"] = norm.order
     evidence["self_normalized"] = same_subgroup(norm, n_edge)
     ok = evidence["N_arc_nontrivial"] and evidence["self_normalized"]
@@ -755,8 +754,7 @@ def sylow_arc_check(analysis: Analysis, normal: Group) -> Certificate:
                 all_ok = all_ok and syl.order == full
             sylow_rows.append(row)
     except ScaleLimitError as exc:
-        evidence["scale_limit"] = str(exc)
-        return analysis.certificate(name, SCALE_LIMIT, evidence)
+        return analysis.scale_limit(name, exc, evidence)
     evidence["sylow_rows"] = sylow_rows
     nonabelian = not is_abelian(n_edge)
     evidence["N_edge_nonabelian"] = nonabelian
@@ -806,8 +804,7 @@ def affine_normal_check(analysis: Analysis, normal: Group) -> Certificate:
     try:
         evidence["stabilizer_cyclic"] = is_cyclic(stab, analysis.config.enumeration_cutoff)
     except ScaleLimitError as exc:
-        evidence["scale_limit"] = str(exc)
-        return analysis.certificate(name, SCALE_LIMIT, evidence)
+        return analysis.scale_limit(name, exc, evidence)
     ok = evidence["soluble"] and evidence["frobenius"] and evidence["stabilizer_cyclic"]
     return analysis.certificate(name, PASS if ok else FAIL, evidence)
 
@@ -880,7 +877,7 @@ def run_lemma_suite(
     certificates can reference immutable inputs by content hash.  Each
     fixture gets one :class:`Analysis`, so its rows share edge-primitivity
     and the stabilizers of each normal subgroup.  The normal subgroups of
-    a group of order at most ``NORMAL_SWEEP_BOUND`` are swept on the
+    a group of order at most the ``normal-sweep`` cap are swept on the
     analysis's reduced generating set, which edge-primitivity reads too,
     so the class walk and each subgroup's generators start from few
     generators; the whole group comes back as that reduced group.
@@ -908,7 +905,7 @@ def run_lemma_suite(
         analysis = Analysis(group, graph, inputs, config)
         if weiss:
             rows.append(SuiteRow(name, "weiss", "G", s_transitivity_degree(analysis)))
-        if not pairs or group.order > NORMAL_SWEEP_BOUND:
+        if not pairs or group.order > NORMAL_SWEEP.limit:
             continue
         for normal in normal_subgroups(analysis.reduced):
             subject = f"N(order={normal.order})"

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .groups import Group, ScaleLimitError
+from .groups import DEFAULT_ENUMERATION_CUTOFF, GRAPH_VERTICES, Group, ScaleLimitError
 from .graphs import Graph, automorphism_group
 from .actions import is_primitive, is_transitive
 from .families import (
@@ -99,11 +99,8 @@ def _build_family(family: str) -> tuple[Graph, Group | None]:
             # Checked before building, so that no file is written that
             # `analyze` would refuse.
             n = per * int(arg)
-            if n > fileio.GRAPH_VERTEX_CAP:
-                raise ScaleLimitError(
-                    f"{family}: graph has {n} vertices, above the cap of "
-                    f"{fileio.GRAPH_VERTEX_CAP}"
-                )
+            if n > GRAPH_VERTICES.limit:
+                raise ScaleLimitError(GRAPH_VERTICES, n, f"{family}: graph has {n} vertices")
             return fn(int(arg)), None
         if kind == "coset":
             group, sub_gens, connector = fileio.read_coset_spec(arg)
@@ -268,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--graph", required=True)
     p_analyze.add_argument("--group", help="group file; defaults to the full automorphism group")
     p_analyze.add_argument("--check", required=True, help="comma-separated check names")
-    p_analyze.add_argument("--cutoff", type=int, default=10**6)
+    p_analyze.add_argument("--cutoff", type=int, default=DEFAULT_ENUMERATION_CUTOFF)
     p_analyze.add_argument("--json", action="store_true")
     p_analyze.add_argument("--out", help="directory for per-check certificate files")
     p_analyze.set_defaults(func=cmd_analyze)
@@ -279,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"'all' or comma-separated from {', '.join(SUITE_NAMES)}",
     )
     p_lemmas.add_argument("--fixture-dir", default="fixtures", dest="fixture_dir")
-    p_lemmas.add_argument("--cutoff", type=int, default=10**6)
+    p_lemmas.add_argument("--cutoff", type=int, default=DEFAULT_ENUMERATION_CUTOFF)
     p_lemmas.add_argument("--json", action="store_true")
     p_lemmas.set_defaults(func=cmd_lemmas)
 

@@ -15,15 +15,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .perms import Permutation
-from .groups import Group, ScaleLimitError, build_group
-from .actions import COSET_INDEX_CAP
-from .graphs import AUTOMORPHISM_VERTEX_CAP, Graph, build_graph
-
-# The largest graph this package writes or searches, and the largest
-# degree of a group file it reads: coset graphs from ``construct`` reach
-# COSET_INDEX_CAP vertices, and ``analyze --group`` reads them back without
-# automorphism search.
-GRAPH_VERTEX_CAP = max(AUTOMORPHISM_VERTEX_CAP, COSET_INDEX_CAP)
+from .groups import GRAPH_VERTICES, Group, ScaleLimitError, build_group
+from .graphs import Graph, build_graph
 
 
 class FileFormatError(ValueError):
@@ -47,7 +40,7 @@ def write_graph(graph: Graph, path: str | Path) -> None:
 
 
 def parse_graph(text: str, source: str | Path = "<string>") -> Graph:
-    """Parse a graph file; a vertex count above :data:`GRAPH_VERTEX_CAP`
+    """Parse a graph file; a vertex count above the ``graph-vertices`` cap
     raises :class:`ScaleLimitError` before anything is allocated."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "graph":
@@ -66,11 +59,8 @@ def parse_graph(text: str, source: str | Path = "<string>") -> Graph:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise FileFormatError(source, num, "expected 'n <count>'")
             n = int(parts[1])
-            if n > GRAPH_VERTEX_CAP:
-                raise ScaleLimitError(
-                    f"{source}:{num}: graph has {n} vertices, above the cap of "
-                    f"{GRAPH_VERTEX_CAP}"
-                )
+            if n > GRAPH_VERTICES.limit:
+                raise ScaleLimitError(GRAPH_VERTICES, n, f"{source}:{num}: graph has {n} vertices")
         elif parts[0] == "e":
             if n is None:
                 raise FileFormatError(source, num, "edge before 'n' line")
@@ -119,7 +109,7 @@ def write_group(group: Group, path: str | Path) -> None:
 def parse_group(
     text: str, source: str | Path = "<string>", base: Sequence[int] = ()
 ) -> Group:
-    """Parse a group file; a degree above :data:`GRAPH_VERTEX_CAP` raises
+    """Parse a group file; a degree above the ``graph-vertices`` cap raises
     :class:`ScaleLimitError` before any generator is read.
 
     The chain's base starts with the points ``base`` when every one is
@@ -145,10 +135,9 @@ def parse_group(
             degree = int(parts[1])
             if degree < 1:
                 raise FileFormatError(source, num, "degree must be positive")
-            if degree > GRAPH_VERTEX_CAP:
+            if degree > GRAPH_VERTICES.limit:
                 raise ScaleLimitError(
-                    f"{source}:{num}: group has degree {degree}, above the cap of "
-                    f"{GRAPH_VERTEX_CAP}"
+                    GRAPH_VERTICES, degree, f"{source}:{num}: group has degree {degree}"
                 )
         elif parts[0] == "g":
             if degree is None:

@@ -17,9 +17,7 @@ from itertools import groupby
 from typing import Iterable, Sequence
 
 from .perms import _kernel
-from .groups import Group, ScaleLimitError, _Chain
-
-AUTOMORPHISM_VERTEX_CAP = 1000
+from .groups import SEARCH_VERTICES, Group, ScaleLimitError, _Chain
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,11 +238,8 @@ def automorphism_group(graph: Graph) -> Group:
     transversal elements generate the group.
     """
     n = graph.n
-    if n > AUTOMORPHISM_VERTEX_CAP:
-        raise ScaleLimitError(
-            f"automorphism search capped at {AUTOMORPHISM_VERTEX_CAP} vertices; "
-            f"graph has {n}"
-        )
+    if n > SEARCH_VERTICES.limit:
+        raise ScaleLimitError(SEARCH_VERTICES, n, "automorphism search")
     adjacency = graph.adjacency
     element = _kernel(n).element
 

@@ -60,16 +60,53 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .perms import Permutation, _cycles, _kernel
 
 
+class Cap(NamedTuple):
+    """A scale cap: registry name, limit, what it bounds, and the template
+    of a refusal's message, filled from ``step``, ``value`` and ``limit``."""
+
+    name: str
+    limit: int
+    bounds: str
+    template: str
+
+
+# The caps, each limit written once; ``--cutoff`` sets the enumeration limit
+# per run, and no flag moves another.  graph-vertices admits the coset graphs
+# ``construct`` writes, up to coset-index vertices, for ``analyze --group``.
+_ENUMERATING = "{step} needs element enumeration: order {value} exceeds cutoff {limit}"
+GRAPH_VERTICES = Cap(
+    "graph-vertices", 10**4, "vertices of graph files and families, and group-file degree",
+    "{step}, above the cap of {limit}")
+SEARCH_VERTICES = Cap(
+    "search-vertices", 1000, "vertices of a graph whose automorphisms are searched",
+    "{step} capped at {limit} vertices; graph has {value}")
+COSET_INDEX = Cap(
+    "coset-index", 10**4, "index of a coset table, so the vertices of a coset graph",
+    "coset index {value} exceeds cap {limit}")
+ENUMERATION = Cap(
+    "enumeration", 10**6, "order of a group whose elements are enumerated", _ENUMERATING)
+NORMAL_SWEEP = Cap(
+    "normal-sweep", 10**5, "order of a group whose normal subgroups are swept", _ENUMERATING)
+CAPS = (GRAPH_VERTICES, SEARCH_VERTICES, COSET_INDEX, ENUMERATION, NORMAL_SWEEP)
+DEFAULT_ENUMERATION_CUTOFF = ENUMERATION.limit
+
+
 class ScaleLimitError(RuntimeError):
-    """An operation would exceed its enumeration bound; never a wrong answer."""
+    """A step refused at a cap of :data:`CAPS`, never answered wrongly: the
+    ``cap``, the ``value`` past it, the ``limit`` in force (the run's cutoff
+    for :data:`ENUMERATION`) and the ``step``; ``str()`` fills the template."""
 
+    def __init__(self, cap: Cap, value: int, step: str, limit: int | None = None):
+        super().__init__(cap, value, step, cap.limit if limit is None else limit)
+        self.cap, self.value, self.step, self.limit = self.args
 
-DEFAULT_ENUMERATION_CUTOFF = 10**6
+    def __str__(self) -> str:
+        return self.cap.template.format(step=self.step, value=self.value, limit=self.limit)
 
 
 class _Chain:
@@ -419,6 +456,8 @@ def element_mapping(group: Group, src: Sequence[int], dst: Sequence[int]):
     element, or None: dst walked down the group rebased onto src."""
     if len(src) != len(dst):
         raise ValueError("src and dst must have equal length")
+    for p in dst:
+        group._check_point(p)
     pairs = dict(zip(src, dst))
     if [pairs[s] for s in src] != list(dst):
         return None

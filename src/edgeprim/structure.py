@@ -12,9 +12,10 @@ their fixed points, and it computes no conjugacy classes; a seeded fill
 proves most candidates' normal closures whole without building them (see
 :func:`is_simple`).  The centralizer of a subgroup is a backtrack over the
 images of its orbit representatives, pruned down the group's chain (see
-:func:`centralizer`).  Every entry point is still gated by an explicit
-cutoff on the group's order (default 10^6): exceeding it raises
-:class:`ScaleLimitError` rather than returning a wrong or partial answer.
+:func:`centralizer`).  :func:`_check_cutoff` gates every entry point on
+the group's order, against the ``enumeration`` cap (the run's cutoff) or
+the ``normal-sweep`` cap of :data:`edgeprim.groups.CAPS`: exceeding it
+raises :class:`ScaleLimitError` rather than a wrong or partial answer.
 
 Every element taken or returned here is a kernel element of
 :mod:`edgeprim.perms`, not a ``Permutation``, which is only the boundary
@@ -33,6 +34,9 @@ from .perms import _cycles, _kernel, _order
 from .actions import right_cosets
 from .groups import (
     DEFAULT_ENUMERATION_CUTOFF,
+    ENUMERATION,
+    NORMAL_SWEEP,
+    Cap,
     Group,
     ScaleLimitError,
     _Chain,
@@ -46,12 +50,9 @@ from .groups import (
 )
 
 
-def _check_cutoff(group: Group, cutoff: int, what: str) -> None:
+def _check_cutoff(group: Group, cutoff: int, what: str, cap: Cap = ENUMERATION) -> None:
     if group.order > cutoff:
-        raise ScaleLimitError(
-            f"{what} needs element enumeration: order {group.order} exceeds "
-            f"cutoff {cutoff}"
-        )
+        raise ScaleLimitError(cap, group.order, what, cutoff)
 
 
 def _iter_elements_bytes(group: Group) -> Iterator:
@@ -350,12 +351,9 @@ def _level_closures_are_whole(group: Group, level: int) -> bool:
     return True
 
 
-NORMAL_SWEEP_BOUND = 10**5
-
-
 def normal_subgroups(group: Group) -> list[Group]:
     """All nontrivial normal subgroups, by order, the group itself last
-    (as ``group``); a scan of order at most ``NORMAL_SWEEP_BOUND``.
+    (as ``group``); a scan of order at most the ``normal-sweep`` cap.
 
     A normal subgroup is a union of conjugacy classes, so the lattice is
     closed on sets of class indices.  The subgroup generated by a class C
@@ -373,7 +371,7 @@ def normal_subgroups(group: Group) -> list[Group]:
     Closures come in class order and joins in pair order, and the sort
     by order is stable.
     """
-    _check_cutoff(group, NORMAL_SWEEP_BOUND, "normal subgroup sweep")
+    _check_cutoff(group, NORMAL_SWEEP.limit, "normal subgroup sweep", NORMAL_SWEEP)
     k = _kernel(group.degree)
     classes, class_of = _classes(group)
     reps = [k.table(members[0]) for members in classes]

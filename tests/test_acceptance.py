@@ -35,7 +35,8 @@ from edgeprim import (
     valency,
 )
 from edgeprim import Permutation, agl1, from_cycles, is_transitive
-from edgeprim.certify import NORMAL_SWEEP_BOUND, PASS
+from edgeprim.certify import PASS
+from edgeprim.groups import NORMAL_SWEEP
 from edgeprim.cli import main as cli_main
 from brute import brute_automorphisms, brute_closure, brute_is_primitive, girth
 
@@ -150,7 +151,7 @@ def test_criterion_5_lemma_suite_pairs(tmp_path):
         5,
         ok,
         f"{len(counting)} counting pairs, {len(selfnorm)} selfnorm pairs, "
-        f"{len(bad)} non-pass rows (bound {NORMAL_SWEEP_BOUND})",
+        f"{len(bad)} non-pass rows (bound {NORMAL_SWEEP.limit})",
     )
 
 

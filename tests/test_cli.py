@@ -4,15 +4,23 @@ from pathlib import Path
 
 import pytest
 
-from edgeprim import build_graph, build_group, from_cycles
+from edgeprim import ScaleLimitError, build_graph, build_group, from_cycles
 from edgeprim.certify import SUITE_NAMES
-from edgeprim.cli import main
+from edgeprim.cli import build_parser, main
 from edgeprim.fileio import read_graph, read_group, write_graph, write_group
 from edgeprim.families import complete_bipartite, complete_graph, petersen
 
 
 def run(argv):
     return main(argv)
+
+
+def refusal(argv) -> ScaleLimitError:
+    """The error behind argv's exit 3, as its command raises it to main."""
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ScaleLimitError) as exc:
+        args.func(args)
+    return exc.value
 
 
 def test_construct_hoffman_singleton(tmp_path, capsys):
@@ -89,9 +97,12 @@ def test_analyze_oversized_graph_is_a_scale_limit(tmp_path, capsys, monkeypatch)
     huge = tmp_path / "huge.graph"
     huge.write_text("graph\nn 1000000000\n")
     capsys.readouterr()
-    assert run(["analyze", "--graph", str(huge), "--check", "s-degree"]) == 3
-    err = capsys.readouterr().err
-    assert "1000000000" in err and "cap of 10000" in err
+    argv = ["analyze", "--graph", str(huge), "--check", "s-degree"]
+    assert run(argv) == 3
+    step = f"{huge}:2: graph has 1000000000 vertices"
+    assert capsys.readouterr().err == f"scale limit: {step}, above the cap of 10000\n"
+    e = refusal(argv)
+    assert (e.cap.name, e.value, e.limit, e.step) == ("graph-vertices", 10**9, 10**4, step)
 
 
 def test_analyze_reads_a_graph_above_the_search_cap_with_its_group(tmp_path, capsys):
@@ -111,8 +122,15 @@ def test_analyze_reads_a_graph_above_the_search_cap_with_its_group(tmp_path, cap
     assert "edge-primitive: fail" in capsys.readouterr().out
     # Without a group the automorphism search refuses it instead, naming
     # both the cap and the graph's size.
-    assert run(["analyze", "--graph", str(graph), "--check", "edge-primitive"]) == 3
-    assert "capped at 1000 vertices; graph has 1001" in capsys.readouterr().err
+    argv = ["analyze", "--graph", str(graph), "--check", "edge-primitive"]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == (
+        "scale limit: automorphism search capped at 1000 vertices; graph has 1001\n"
+    )
+    e = refusal(argv)
+    assert (e.cap.name, e.value, e.limit, e.step) == (
+        "search-vertices", 1001, 1000, "automorphism search"
+    )
 
 
 def test_local_structure_on_edgeless_graph_is_a_usage_error(tmp_path, capsys):
@@ -276,13 +294,16 @@ def test_group_blocks_output(generators, exit_code, stdout, tmp_path, capsys):
 
 
 def test_construct_refuses_a_family_above_the_graph_file_cap(tmp_path, capsys):
-    # `analyze` refuses a graph file above fileio.GRAPH_VERTEX_CAP, so
+    # `analyze` refuses a graph file above the graph-vertices cap, so
     # `construct` refuses to write one, before building the graph.
-    for family in ("cycle:10001", "complete-bipartite:5001"):
+    for family, n in (("cycle:10001", 10001), ("complete-bipartite:5001", 10002)):
         out = tmp_path / "big.graph"
-        assert run(["construct", "--family", family, "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "above the cap of 10000" in err and family in err
+        argv = ["construct", "--family", family, "--out", str(out)]
+        assert run(argv) == 3
+        step = f"{family}: graph has {n} vertices"
+        assert capsys.readouterr().err == f"scale limit: {step}, above the cap of 10000\n"
+        e = refusal(argv)
+        assert (e.cap.name, e.value, e.limit, e.step) == ("graph-vertices", n, 10**4, step)
         assert not out.exists()
     out = tmp_path / "c10000.graph"
     assert run(["construct", "--family", "cycle:10000", "--out", str(out)]) == 0
@@ -379,6 +400,10 @@ def test_group_file_above_the_degree_cap_is_a_scale_limit(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         f"scale limit: {path}:2: group has degree 10001, above the cap of 10000\n"
+    )
+    e = refusal(["group", "--group", str(path)])
+    assert (e.cap.name, e.value, e.limit, e.step) == (
+        "graph-vertices", 10001, 10**4, f"{path}:2: group has degree 10001"
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from edgeprim import ScaleLimitError, build_group, from_cycles, heawood, petersen
 from edgeprim import fileio
+from edgeprim.groups import COSET_INDEX, GRAPH_VERTICES
 from edgeprim.fileio import (
     FileFormatError,
     graph_to_text,
@@ -55,13 +56,16 @@ def test_graph_vertex_cap_is_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(fileio, "build_graph", must_not_build)
     with pytest.raises(ScaleLimitError) as exc:
         parse_graph("graph\nn 1000000000\n", "huge.graph")
-    assert "1000000000" in str(exc.value) and "10000" in str(exc.value)
+    e = exc.value
+    assert (e.cap, e.value, e.limit) == (GRAPH_VERTICES, 10**9, 10**4)
+    assert e.step == "huge.graph:2: graph has 1000000000 vertices"
+    assert str(e) == "huge.graph:2: graph has 1000000000 vertices, above the cap of 10000"
     with pytest.raises(ScaleLimitError):
         parse_graph("graph\nn 10001\ne 0 1\n")
     monkeypatch.undo()
     # The cap is the largest graph the package writes (a coset graph of
     # index 10^4), not the automorphism-search cap of 1000.
-    assert fileio.GRAPH_VERTEX_CAP == 10**4
+    assert GRAPH_VERTICES.limit == COSET_INDEX.limit == 10**4
     assert parse_graph("graph\nn 1001\ne 0 1000\n").n == 1001
     assert parse_graph("graph\nn 10000\ne 0 9999\n").n == 10000
 
@@ -113,7 +117,10 @@ def test_group_degree_cap_is_checked_before_any_generator():
     # refused before a generator is read, here a malformed one.
     with pytest.raises(ScaleLimitError) as exc:
         parse_group("group\ndegree 10001\ng 0\n", "huge.group")
-    assert str(exc.value) == "huge.group:2: group has degree 10001, above the cap of 10000"
+    e = exc.value
+    assert (e.cap, e.value, e.limit) == (GRAPH_VERTICES, 10001, 10**4)
+    assert e.step == "huge.group:2: group has degree 10001"
+    assert str(e) == "huge.group:2: group has degree 10001, above the cap of 10000"
     identity = " ".join(map(str, range(10**4)))
     assert parse_group(f"group\ndegree 10000\ng {identity}\n").order == 1
 

@@ -7,10 +7,14 @@ any certificate byte, verdict or exit code fails here.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import edgeprim
 from edgeprim.cli import main
 from edgeprim.families import pgl2, psl2
 from edgeprim.fileio import read_group, write_group
@@ -70,6 +74,37 @@ def test_lemmas_all_matches_golden(tmp_path, capsys):
     argv = ["lemmas", "--suite", "all", "--json", "--fixture-dir", str(tmp_path / "fixtures")]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / "lemmas-all.json").read_text("ascii")
+
+
+@pytest.mark.parametrize(
+    "commands",
+    [
+        [
+            ["construct", "--family", "hoffman-singleton", "--out", "hs.graph"],
+            ["analyze", "--graph", "hs.graph", "--check", ALL_CHECKS, "--json"],
+        ],
+        [["lemmas", "--suite", "all", "--json", "--fixture-dir", "fixtures"]],
+    ],
+    ids=["analyze-hs", "lemmas-all"],
+)
+def test_output_does_not_depend_on_the_hash_seed(commands, tmp_path):
+    """The same commands in fresh interpreters with different string hash
+    seeds print the same bytes: no set or dict order of strings leaks into
+    a certificate."""
+    src = str(Path(edgeprim.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("0", "7"):
+        cwd = tmp_path / f"seed-{seed}"
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        for command in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "edgeprim.cli", *command],
+                cwd=cwd, env=env, capture_output=True, check=True,
+            )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] and outputs[0].startswith(b"[")
 
 
 def test_lemma_rows_depend_on_the_group_not_its_generators(tmp_path, capsys):

@@ -138,8 +138,13 @@ def test_automorphism_group_matches_brute_force_on_random_graphs():
 
 def test_automorphism_scale_gate():
     big = build_graph(1001, [(i, i + 1) for i in range(1000)])
-    with pytest.raises(ScaleLimitError):
+    with pytest.raises(ScaleLimitError) as exc:
         automorphism_group(big)
+    e = exc.value
+    assert (e.cap.name, e.value, e.limit, e.step) == (
+        "search-vertices", 1001, 1000, "automorphism search"
+    )
+    assert str(e) == "automorphism search capped at 1000 vertices; graph has 1001"
 
 
 def test_local_action_k5():

@@ -173,6 +173,11 @@ def test_element_mapping():
     assert p is not None and p[0] == 2 and p[1] == 3 and p[2] == 4
     z5 = build_group([from_cycles(5, [(0, 1, 2, 3, 4)])])
     assert element_mapping(z5, (0, 1), (1, 0)) is None
+    # An image outside the domain is refused, not wrapped round to 4 nor
+    # left to an IndexError.
+    for bad in (-1, 7):
+        with pytest.raises(ValueError, match="out of range"):
+            element_mapping(g, (0,), (bad,))
 
 
 def test_reduce_generators_preserves_group():

@@ -86,8 +86,11 @@ def test_coset_action_with_nontrivial_kernel():
 
 def test_coset_action_index_cap():
     s8 = build_group([from_cycles(8, [(0, 1)]), from_cycles(8, [(0, 1, 2, 3, 4, 5, 6, 7)])])
-    with pytest.raises(ScaleLimitError):
-        CosetTable(s8, trivial_group(8))  # index 40320, cap 10^4
+    with pytest.raises(ScaleLimitError) as exc:
+        CosetTable(s8, trivial_group(8))
+    e = exc.value
+    assert (e.cap.name, e.value, e.limit, e.step) == ("coset-index", 40320, 10**4, "coset table")
+    assert str(e) == "coset index 40320 exceeds cap 10000"
 
 
 def test_error_paths():

@@ -124,10 +124,27 @@ def test_normalizer_stops_once_it_is_the_whole_group(monkeypatch):
 
 def test_scale_limit_is_explicit():
     g = s5()
-    with pytest.raises(ScaleLimitError):
+    with pytest.raises(ScaleLimitError) as exc:
         normalizer(g, g.point_stabilizer(0), cutoff=100)
-    with pytest.raises(ScaleLimitError):
+    e = exc.value
+    assert (e.cap.name, e.value, e.limit, e.step) == ("enumeration", 120, 100, "normalizer")
+    assert str(e) == "normalizer needs element enumeration: order 120 exceeds cutoff 100"
+    with pytest.raises(ScaleLimitError) as exc:
         is_simple(a5(), cutoff=10)
+    e = exc.value
+    assert (e.cap.name, e.value, e.limit, e.step) == ("enumeration", 60, 10, "simplicity test")
+    assert str(e) == "simplicity test needs element enumeration: order 60 exceeds cutoff 10"
+    # The normal subgroup sweep has its own cap, fixed at 10^5.
+    s9 = build_group([from_cycles(9, [(0, 1)]), from_cycles(9, [tuple(range(9))])])
+    with pytest.raises(ScaleLimitError) as exc:
+        normal_subgroups(s9)
+    e = exc.value
+    assert (e.cap.name, e.value, e.limit, e.step) == (
+        "normal-sweep", 362880, 10**5, "normal subgroup sweep"
+    )
+    assert str(e) == (
+        "normal subgroup sweep needs element enumeration: order 362880 exceeds cutoff 100000"
+    )
 
 
 def test_centralizer_of_normal_in_s4():
