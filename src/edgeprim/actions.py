@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .perms import _kernel
-from .groups import COSET_INDEX, Group, ScaleLimitError, _Chain
+from .groups import COSET_INDEX, Group, ScaleLimitError, _Chain, orbit_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,19 +154,12 @@ def block_witness(
     n = len(gens[0])
     if n < 2:
         raise ValueError("domain must have at least 2 points")
-    seen = set()
+    seen: set[int] = set()
     for beta in range(n):
-        if beta in seen:
-            continue
-        seen.add(beta)
-        orbit = [beta]
-        for x in orbit:
-            for g in stabilizer_gens:
-                if g[x] not in seen:
-                    seen.add(g[x])
-                    orbit.append(g[x])
-        if beta and not (system := _blocks(gens, 0, beta)).is_trivial(n):
-            return system
+        if beta not in seen:
+            seen.update(orbit_of((beta,), stabilizer_gens))
+            if beta and not (system := _blocks(gens, 0, beta)).is_trivial(n):
+                return system
     return None
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -99,16 +99,16 @@ class Certificate:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "inputs": self.inputs,
-            "verdict": self.verdict,
-            "evidence": self.evidence,
-            "config": self.config,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict())
+
+
+def json_text(payload) -> str:
+    """The one JSON form of every output: sorted keys, indent 2, a final
+    newline, so equal payloads give equal bytes."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class LocalAction(NamedTuple):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import fileio
@@ -42,6 +43,7 @@ from .certify import (
     RunConfig,
     SUITE_NAMES,
     is_edge_primitive,
+    json_text,
     local_structure,
     main_theorem_check,
     almost_simple_certificate,
@@ -144,10 +146,7 @@ def _emit_certificates(
                 cert.to_json(), encoding="ascii"
             )
     elif args.json:
-        import json as _json
-
-        payload = [c.to_dict() for c in certs]
-        sys.stdout.write(_json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json_text([c.to_dict() for c in certs]))
     else:
         for cert in certs:
             summary = ", ".join(
@@ -202,18 +201,7 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
     suites = None if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
     rows = run_lemma_suite(suites, _config_from_args(args))
     if args.json:
-        import json as _json
-
-        payload = [
-            {
-                "fixture": r.fixture,
-                "check": r.check,
-                "subject": r.subject,
-                "certificate": r.certificate.to_dict(),
-            }
-            for r in rows
-        ]
-        sys.stdout.write(_json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json_text([asdict(r) for r in rows]))
     else:
         width = max((len(r.fixture) for r in rows), default=8)
         for r in rows:

@@ -19,6 +19,7 @@ from .groups import (
     build_group,
     derived_subgroup,
     is_subgroup,
+    orbit_of,
 )
 from .actions import CosetTable
 from .graphs import Graph, build_graph, is_connected
@@ -247,17 +248,13 @@ def gf(p: int, k: int = 1) -> FiniteField:
 
 
 def _field_for_q(q: int) -> FiniteField:
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return gf(p, k)
-    raise ValueError(f"{q} is not a prime power in range")
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, k = primes[0], 1
+    while p**k < q:
+        k += 1
+    return gf(p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +291,17 @@ def _projective_perms(field: FiniteField) -> tuple[Permutation, Permutation, Per
     )
 
 
+def _checked(name: str, group: Group, expected: int) -> Group:
+    """The group, after checking its order against the known one."""
+    if group.order != expected:
+        raise AssertionError(f"{name} order {group.order} != {expected}")
+    return group
+
+
 def pgl2(q: int) -> Group:
     """PGL(2,q) on the q+1 points of the projective line."""
-    field = _field_for_q(q)
-    translate, scale, invert = _projective_perms(field)
-    group = build_group([translate, scale, invert])
-    expected = q * (q * q - 1)
-    if group.order != expected:
-        raise AssertionError(f"PGL(2,{q}) order {group.order} != {expected}")
-    return group
+    group = build_group(_projective_perms(_field_for_q(q)))
+    return _checked(f"PGL(2,{q})", group, q * (q * q - 1))
 
 
 def psl2(q: int) -> Group:
@@ -310,44 +309,27 @@ def psl2(q: int) -> Group:
     group = pgl2(q)
     if q % 2 == 0:
         return group
-    derived = derived_subgroup(group)
-    expected = q * (q * q - 1) // 2
-    if derived.order != expected:
-        raise AssertionError(f"PSL(2,{q}) order {derived.order} != {expected}")
-    return derived
+    return _checked(f"PSL(2,{q})", derived_subgroup(group), q * (q * q - 1) // 2)
 
 
 def _affine_perms(field: FiniteField) -> list[Permutation]:
-    """Images of x -> x+1 and x -> lam*x (lam primitive) on the field."""
-    lam = field.primitive_element()
-    one = field.one()
-    translate = [0] * field.q
-    scale = [0] * field.q
-    for value in range(field.q):
-        x = field.from_int(value)
-        translate[value] = field.to_int(field.add(x, one))
-        scale[value] = field.to_int(field.mul(lam, x))
-    return [Permutation(tuple(translate)), Permutation(tuple(scale))]
+    """Images of x -> x+1 and x -> lam*x (lam primitive) on the field: the
+    projective translate and scale, which fix infinity, cut to the field."""
+    return [Permutation(g.images[: field.q]) for g in _projective_perms(field)[:2]]
 
 
 def agl1(q: int) -> Group:
     """AGL(1,q) = {x -> a x + b} on the q field elements."""
-    field = _field_for_q(q)
-    q_ = field.q
-    group = build_group(_affine_perms(field))
-    if group.order != q_ * (q_ - 1):
-        raise AssertionError(f"AGL(1,{q}) order {group.order} != {q_ * (q_ - 1)}")
-    return group
+    group = build_group(_affine_perms(_field_for_q(q)))
+    return _checked(f"AGL(1,{q})", group, q * (q - 1))
 
 
 def agammal1(q: int) -> Group:
     """AGL(1,q) extended by the Frobenius field automorphism."""
     field = _field_for_q(q)
-    frob = [field.to_int(field.frobenius(field.from_int(v))) for v in range(field.q)]
+    frob = [field.to_int(field.frobenius(field.from_int(v))) for v in range(q)]
     group = build_group(_affine_perms(field) + [Permutation(tuple(frob))])
-    if group.order != field.q * (field.q - 1) * field.k:
-        raise AssertionError("AGammaL(1,q) order check failed")
-    return group
+    return _checked(f"AGammaL(1,{q})", group, q * (q - 1) * field.k)
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +369,10 @@ def coset_graph(spec: CosetGraphSpec) -> tuple[Graph, Group]:
     table = CosetTable(group, sub)
     index = table.index
     k = _kernel(group.degree)
-    a_vertex = table.coset_of(a)
 
     # Neighbors of the base coset: the sub-orbit of Ha under right
     # multiplication by subgroup generators.
-    sub_images = [table.image_of(h) for h in sub.gens]
-    nbrs = {a_vertex}
-    queue = [a_vertex]
-    while queue:
-        x = queue.pop()
-        for h in sub_images:
-            y = h[x]
-            if y not in nbrs:
-                nbrs.add(y)
-                queue.append(y)
+    nbrs = orbit_of((table.coset_of(a),), [table.image_of(h) for h in sub.gens])
 
     # Translate the base neighborhood by coset representatives; the
     # adjacency relation is invariant under the (transitive) vertex action,

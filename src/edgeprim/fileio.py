@@ -59,6 +59,8 @@ def parse_graph(text: str, source: str | Path = "<string>") -> Graph:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise FileFormatError(source, num, "expected 'n <count>'")
             n = int(parts[1])
+            if n < 1:
+                raise FileFormatError(source, num, "graph needs at least one vertex")
             if n > GRAPH_VERTICES.limit:
                 raise ScaleLimitError(GRAPH_VERTICES, n, f"{source}:{num}: graph has {n} vertices")
         elif parts[0] == "e":
@@ -180,9 +182,13 @@ def read_coset_spec(path: str | Path) -> tuple[Group, list[Permutation], Permuta
         data = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FileFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}")
+    if not isinstance(data, dict):
+        raise FileFormatError(path, 1, "expected a JSON object")
     for key in ("group_file", "subgroup_generators", "connector"):
         if key not in data:
             raise FileFormatError(path, 1, f"missing key {key!r}")
+    if not isinstance(data["group_file"], str):
+        raise FileFormatError(path, 1, "'group_file' must be a string")
     group_path = p.parent / data["group_file"]
     group = read_group(group_path)
     try:

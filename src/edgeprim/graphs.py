@@ -17,7 +17,7 @@ from itertools import groupby
 from typing import Iterable, Sequence
 
 from .perms import _kernel
-from .groups import SEARCH_VERTICES, Group, ScaleLimitError, _Chain
+from .groups import SEARCH_VERTICES, Group, ScaleLimitError, _Chain, orbit_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,41 +85,29 @@ def is_connected(graph: Graph) -> bool:
     return len(seen) == graph.n
 
 
-def is_bipartition(graph: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """A 2-coloring as (part0, part1), or None if the graph is not bipartite."""
+def _is_bipartite(graph: Graph) -> bool:
+    """Whether the graph has a 2-coloring."""
     color: dict[int, int] = {}
     for root in range(graph.n):
         if root in color:
             continue
         color[root] = 0
         queue = [root]
-        while queue:
-            x = queue.pop()
+        for x in queue:
             for y in graph.adjacency[x]:
                 if y not in color:
                     color[y] = 1 - color[x]
                     queue.append(y)
                 elif color[y] == color[x]:
-                    return None
-    part0 = tuple(v for v in range(graph.n) if color[v] == 0)
-    part1 = tuple(v for v in range(graph.n) if color[v] == 1)
-    return part0, part1
+                    return False
+    return True
 
 
 def is_complete_bipartite(graph: Graph) -> bool:
-    """Structural K_{d,d} detection: balanced bipartition, complete across."""
+    """K_{d,d} detection: a bipartite d-regular graph on 2d vertices has d
+    vertices on each side, each joined to the whole other side."""
     d = valency(graph)
-    if d is None or d < 1 or graph.n != 2 * d:
-        return False
-    parts = is_bipartition(graph)
-    if parts is None:
-        return False
-    part0, part1 = parts
-    return (
-        len(part0) == len(part1) == d
-        and graph.num_edges == d * d
-        and is_connected(graph)
-    )
+    return d is not None and graph.n == 2 * d and _is_bipartite(graph)
 
 
 def is_complete(graph: Graph) -> bool:
@@ -290,8 +278,7 @@ def automorphism_group(graph: Graph) -> Group:
         b = base[depth]
         # Generators found so far all fix base[:depth] (deeper levels fix
         # more), so they witness orbit membership at this level.
-        orbit = {b}
-        _grow_orbit(orbit, gens)
+        orbit = set(orbit_of((b,), gens))
         for w in cell:
             if w in orbit:
                 continue
@@ -301,7 +288,7 @@ def automorphism_group(graph: Graph) -> Group:
             )
             if found is not None:
                 gens.append(found)
-                _grow_orbit(orbit, gens)
+                orbit = set(orbit_of((b,), gens))
                 if w not in orbit:
                     raise AssertionError("found automorphism does not reach target")
         level_orbits.append(len(orbit))
@@ -319,14 +306,3 @@ def automorphism_group(graph: Graph) -> Group:
         if not is_automorphism(graph, g):
             raise AssertionError("search produced a non-automorphism")
     return group
-
-
-def _grow_orbit(orbit: set[int], gens: list) -> None:
-    queue = list(orbit)
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = g[x]
-            if y not in orbit:
-                orbit.add(y)
-                queue.append(y)

@@ -298,14 +298,7 @@ class Group:
     def orbit(self, point: int) -> tuple[int, ...]:
         """The G-orbit of a point, sorted."""
         self._check_point(point)
-        seen, queue = {point}, [point]
-        for a in queue:
-            for g in self.strong_gens:
-                b = g[a]
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        return tuple(sorted(seen))
+        return tuple(sorted(orbit_of((point,), self.strong_gens)))
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """All orbits on {0..degree-1}, each sorted, ordered by minimum."""
@@ -424,18 +417,9 @@ class Group:
         )
 
 
-def build_group(
-    generators: Iterable[Permutation],
-    base_prefix: Sequence[int] = (),
-    order: int | None = None,
-) -> Group:
+def build_group(generators: Iterable[Permutation], base_prefix: Sequence[int] = ()) -> Group:
     """Deterministic Schreier-Sims construction from a sequence of
-    permutations, each converted once to a kernel element.
-
-    ``order``, if given, must be the proven order of a group containing
-    every generator; the build stops once the chain reaches it, with the
-    same result as without it (see the module docstring).
-    """
+    permutations, each converted once to a kernel element."""
     gens = list(generators)
     if not gens:
         raise ValueError("empty generator list")
@@ -444,11 +428,26 @@ def build_group(
         if g.degree != degree:
             raise ValueError(f"degree mismatch: {g.degree} != {degree}")
     elements = [g.element for g in gens]
-    return _Chain(degree, base_prefix, elements, order).suffix_group(elements)
+    return _Chain(degree, base_prefix, elements).suffix_group(elements)
 
 
 def trivial_group(degree: int) -> Group:
     return _Chain(degree).suffix_group()
+
+
+def orbit_of(points: Iterable[int], gens: Sequence) -> list[int]:
+    """The union of the points' orbits under the group that the image
+    lists ``gens`` generate, breadth-first: the points, then each image in
+    the order it is met (Seress 2003, section 4.1)."""
+    orbit = list(dict.fromkeys(points))
+    seen = set(orbit)
+    for a in orbit:
+        for g in gens:
+            b = g[a]
+            if b not in seen:
+                seen.add(b)
+                orbit.append(b)
+    return orbit
 
 
 def element_mapping(group: Group, src: Sequence[int], dst: Sequence[int]):
@@ -539,8 +538,8 @@ def normal_closure(group: Group, seeds: Iterable, order: int | None = None) -> G
     One chain grows by every conjugate it does not yet contain; its
     generating set is the seeds followed by those conjugates in the order
     they were met, so the result equals ``build_group`` of that sequence.
-    The chain is bounded by ``order`` (as for :func:`build_group`), else
-    by the group's: once it reaches it, conjugation stops.
+    The chain is bounded by ``order``, a proven order of a group holding
+    the closure, else by the group's: once it reaches it, conjugation stops.
     """
     k = _kernel(group.degree)
     gens = [s for s in seeds if s != k.identity]

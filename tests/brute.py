@@ -44,6 +44,27 @@ def brute_closure(gens: list[tuple[int, ...]], limit: int = 10**6) -> set[tuple[
     return elements
 
 
+def brute_orbits(elements, n: int) -> set[frozenset[int]]:
+    """The orbits on range(n) of a set of image tuples closed under
+    composition, each read off every element."""
+    return {frozenset(g[x] for g in elements) for x in range(n)}
+
+
+def brute_is_complete_bipartite(graph) -> bool:
+    """Whether some split of the vertices into two equal halves A and B has
+    exactly the pairs of A x B as edges, trying every half holding 0."""
+    n, edges = graph.n, set(graph.edges)
+    if n % 2 or len(edges) != (n // 2) ** 2:
+        return False
+    for half in itertools.combinations(range(1, n), n // 2 - 1):
+        a = {0, *half}
+        if edges == {
+            (min(u, v), max(u, v)) for u in a for v in range(n) if v not in a
+        }:
+            return True
+    return False
+
+
 def equal_cell_partitions(points: list[int], cell_size: int):
     """All partitions of the points into cells of the given size."""
     if not points:

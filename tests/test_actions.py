@@ -43,7 +43,7 @@ def on_pairs(group, pairs):
         Permutation(tuple(index[tuple(sorted((g(a), g(b))))] for a, b in pairs))
         for g in group.generators
     ]
-    return build_group(gens, order=group.order)
+    return build_group(gens)
 
 
 def on_2sets(group):
@@ -54,7 +54,7 @@ def on_cosets(group, sub):
     """The image on the right cosets of ``sub``, from a coset table."""
     table = CosetTable(group, sub)
     gens = [Permutation(table.image_of(g)) for g in group.gens]
-    return build_group(gens, order=group.order)
+    return build_group(gens)
 
 
 def three_halves_transitive(group):

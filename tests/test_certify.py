@@ -35,7 +35,7 @@ from edgeprim import (
     sylow_arc_check,
     three_arc_criterion,
 )
-from edgeprim.certify import FAIL, NOT_APPLICABLE, PASS, _is_sym6
+from edgeprim.certify import FAIL, NOT_APPLICABLE, PASS, SCALE_LIMIT, _is_sym6
 
 
 def s5():
@@ -517,6 +517,103 @@ def test_affine_normal_primitive_gate_agammal18():
     cert = affine_normal_check(Analysis(g), n56[0])
     assert cert.verdict == NOT_APPLICABLE
     assert "primitive" in cert.evidence["violated_hypothesis"]
+
+
+# -- gates and scale limits ---------------------------------------------------
+
+TWO_K4 = build_graph(
+    8, [(o + a, o + b) for o in (0, 4) for a, b in itertools.combinations(range(4), 2)]
+)
+STAR = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+SHAPE = "graph is not connected d-regular with d >= 3"
+
+
+@pytest.mark.parametrize(
+    "graph, check, gate, evidence",
+    [
+        (TWO_K4, s_transitivity_degree, "graph is disconnected", {"group_order": 1152}),
+        (STAR, s_transitivity_degree, "graph is irregular", {"group_order": 6}),
+        (TWO_K4, main_theorem_check, SHAPE, {"group_order": 1152}),
+        (STAR, main_theorem_check, SHAPE, {"group_order": 6}),
+        (cycle_graph(5), main_theorem_check, SHAPE, {"group_order": 10}),
+        # three-arc records the valency before its gate, main-theorem after.
+        (TWO_K4, three_arc_criterion, SHAPE, {"group_order": 1152, "valency": 3}),
+        (STAR, three_arc_criterion, SHAPE, {"group_order": 6, "valency": None}),
+        (cycle_graph(5), three_arc_criterion, SHAPE, {"group_order": 10, "valency": 2}),
+    ],
+    ids=["s-degree 2K4", "s-degree star", "main-theorem 2K4", "main-theorem star",
+         "main-theorem C5", "three-arc 2K4", "three-arc star", "three-arc C5"],
+)
+def test_graph_shape_gates(graph, check, gate, evidence):
+    cert = check(Analysis(automorphism_group(graph), graph))
+    assert cert.verdict == NOT_APPLICABLE
+    assert cert.evidence == {**evidence, "violated_hypothesis": gate}
+
+
+@pytest.mark.parametrize("check", [counting_identity_check, selfnorm_check, sylow_arc_check])
+def test_pair_checks_gate_on_edge_primitivity(check):
+    g = petersen()
+    analysis = Analysis(automorphism_group(g), g)
+    for normal in normal_subgroups(analysis.reduced):
+        cert = check(analysis, normal)
+        assert cert.verdict == NOT_APPLICABLE
+        assert cert.evidence == {
+            "group_order": 120,
+            "normal_order": normal.order,
+            "violated_hypothesis": "group is not edge-primitive",
+        }
+
+
+TIGHT = RunConfig(enumeration_cutoff=1000)
+
+
+def test_scale_limit_verdicts_of_the_normal_subgroup_checks(hs_graph, hs_aut):
+    k14 = Analysis(psl2(13), complete_graph(14), config=TIGHT)
+    cert = selfnorm_check(k14, k14.group)
+    assert cert.verdict == SCALE_LIMIT
+    assert cert.evidence == {
+        "group_order": 1092, "normal_order": 1092, "branch": "self-normalized",
+        "order_N_arc": 6, "order_N_edge": 12, "N_arc_nontrivial": True,
+        "scale_limit": "normalizer needs element enumeration: order 1092 exceeds cutoff 1000",
+    }
+    hs = Analysis(hs_aut, hs_graph, config=TIGHT)
+    cert = sylow_arc_check(hs, hs.group)
+    assert cert.verdict == SCALE_LIMIT
+    assert cert.evidence == {
+        "group_order": 252000, "normal_order": 252000, "order_N_arc": 720, "order_N_edge": 1440,
+        "scale_limit":
+            "Sylow subgroup search needs element enumeration: order 1440 exceeds cutoff 1000",
+    }
+
+
+def test_prime_valency_scale_limit_keeps_the_complete_graph_evidence():
+    cert = prime_valency_check(Analysis(psl2(13), complete_graph(14), config=TIGHT))
+    assert cert.verdict == SCALE_LIMIT
+    assert cert.evidence == {
+        "group_order": 1092, "valency": 13, "edge_primitive": True, "s_degree": 1,
+        "branch": "complete-graph", "graph_is_complete_d_plus_1": True,
+        "order_matches_psl2": True, "valency_greater_11": True,
+    }
+
+
+def test_affine_normal_scale_limit(monkeypatch):
+    # The gate needs a point stabilizer above the smallest cutoff, 1000, in
+    # an imprimitive normal subgroup of a 2-transitive group; no such group
+    # of degree up to 10^4 is known, so the real cyclicity test is run under
+    # a cutoff of 1.
+    from edgeprim import certify, structure
+
+    monkeypatch.setattr(certify, "is_cyclic", lambda group, cutoff: structure.is_cyclic(group, 1))
+    g = agl1(9)
+    normal = next(n for n in normal_subgroups(g) if n.order == 18)
+    cert = affine_normal_check(Analysis(g), normal)
+    assert cert.verdict == SCALE_LIMIT
+    assert cert.evidence == {
+        "group_order": 72, "normal_order": 18, "degree": 9, "residual_clause_checked": False,
+        "order_N0": 2, "normal_primitive": False, "witness_block_size": 3,
+        "soluble": True, "frobenius": True,
+        "scale_limit": "cyclicity test needs element enumeration: order 2 exceeds cutoff 1",
+    }
 
 
 # -- one analysis per (group, graph) ------------------------------------------

@@ -435,6 +435,29 @@ def test_io_and_encoding_errors_are_usage_errors(tmp_path, capsys):
     _usage_error(["group", "--group", str(non_ascii)], capsys)
 
 
+@pytest.mark.parametrize(
+    "name, text, command, location, message",
+    [
+        ("five.json", "5", "construct", 1, "expected a JSON object"),
+        ("spec.json", '{"group_file": 5, "subgroup_generators": [], "connector": []}',
+         "construct", 1, "'group_file' must be a string"),
+        ("empty.graph", "graph\nn 0\n", "analyze", 2, "graph needs at least one vertex"),
+    ],
+    ids=["spec not an object", "group_file not a string", "graph with n 0"],
+)
+def test_malformed_inputs_are_file_errors(
+    name, text, command, location, message, tmp_path, capsys
+):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = {
+        "construct": ["construct", "--family", f"coset:{path}", "--out", str(tmp_path / "x.graph")],
+        "analyze": ["analyze", "--graph", str(path), "--check", "s-degree"],
+    }[command]
+    assert _usage_error(argv, capsys) == f"error: {path}:{location}: {message}\n"
+    assert not (tmp_path / "x.graph").exists()
+
+
 A5_ON_FIVE_OF_TEN = "group\ndegree 10\ng 1 2 0 3 4 5 6 7 8 9\ng 1 2 3 4 0 5 6 7 8 9\n"
 
 

@@ -143,3 +143,70 @@ def test_coset_spec_reader(tmp_path):
     bad.write_text("{")
     with pytest.raises(FileFormatError):
         read_coset_spec(bad)
+
+
+_SPEC_TAIL = '"subgroup_generators": [[1, 0, 2]], "connector": [0, 2, 1]}'
+
+# (reader, file text, line, message): every reader error path, with the
+# skipped blank and '#' lines counted in the line numbers.
+READER_ERRORS = [
+    ("graph", "", 1, "expected 'graph' header"),
+    ("graph", "nope\nn 3\n", 1, "expected 'graph' header"),
+    ("graph", "graph\nn 3\n\nn 3\n", 4, "duplicate 'n' line"),
+    ("graph", "graph\nn three\n", 2, "expected 'n <count>'"),
+    ("graph", "graph\nn 3 4\n", 2, "expected 'n <count>'"),
+    ("graph", "graph\nn 0\n", 2, "graph needs at least one vertex"),
+    ("graph", "graph\n# no size yet\ne 0 1\n", 3, "edge before 'n' line"),
+    ("graph", "graph\nn 3\ne 0 1 2\n", 3, "expected 'e <u> <v>'"),
+    ("graph", "graph\nn 3\ne 0 x\n", 3, "edge endpoints must be integers"),
+    ("graph", "graph\nn 3\nv 0\n", 3, "unknown record 'v'"),
+    ("graph", "graph\n\n# only comments\n", 3, "missing 'n' line"),
+    ("group", "", 1, "expected 'group' header"),
+    ("group", "graph\ndegree 3\n", 1, "expected 'group' header"),
+    ("group", "group\ndegree 3\n  # indented comment\ndegree 3\n", 4, "duplicate 'degree' line"),
+    ("group", "group\ndegree -3\n", 2, "expected 'degree <n>'"),
+    ("group", "group\ndegree 0\n", 2, "degree must be positive"),
+    ("group", "group\n\ng 0 1\n", 3, "generator before 'degree' line"),
+    ("group", "group\ndegree 2\ng 0 1.0\n", 3, "generator images must be integers"),
+    ("group", "group\ndegree 2\ng 0 1 2\n", 3, "generator has 3 images, expected 2"),
+    ("group", "group\ndegree 2\nh 1 0\n", 3, "unknown record 'h'"),
+    ("group", "group\n# comment\n", 2, "missing 'degree' line"),
+    ("group", "group\ndegree 2\n\n", 3, "missing generator lines"),
+    ("spec", "{\n", 2, "invalid JSON: Expecting property name enclosed in double quotes"),
+    ("spec", "5", 1, "expected a JSON object"),
+    ("spec", '["s3.group"]', 1, "expected a JSON object"),
+    ("spec", '{"group_file": "s3.group", "connector": [0, 2, 1]}', 1,
+     "missing key 'subgroup_generators'"),
+    ("spec", '{"group_file": 5, ' + _SPEC_TAIL, 1, "'group_file' must be a string"),
+    ("spec", '{"group_file": "s3.group", "subgroup_generators": [[1, 1, 2]], '
+     '"connector": [0, 2, 1]}', 1,
+     "bad permutation data: images (1, 1, 2) are not a bijection on 0..2"),
+    ("spec", '{"group_file": "s3.group", "subgroup_generators": 5, "connector": [0, 2, 1]}', 1,
+     "bad permutation data: 'int' object is not iterable"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,text,line,message", READER_ERRORS,
+    ids=[f"{kind} {i}: {message}" for i, (kind, _, _, message) in enumerate(READER_ERRORS)],
+)
+def test_reader_errors_name_the_file_and_line(kind, text, line, message, tmp_path):
+    (tmp_path / "s3.group").write_text("group\ndegree 3\ng 1 2 0\ng 1 0 2\n")
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    read = {"graph": read_graph, "group": read_group, "spec": read_coset_spec}[kind]
+    with pytest.raises(FileFormatError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}:{line}: {message}"
+    assert (exc.value.path, exc.value.line) == (str(path), line)
+
+
+def test_readers_skip_blank_and_comment_lines(tmp_path):
+    graph = parse_graph("graph\n\n# a path\nn 3\n  \ne 0 1\n# middle\ne 1 2\n")
+    assert graph.edges == ((0, 1), (1, 2))
+    group = parse_group("group\n# S3\n\ndegree 3\ng 1 2 0\n\n# a transposition\ng 1 0 2\n")
+    assert group.order == 6
+    path = tmp_path / "spec.json"
+    (tmp_path / "s3.group").write_text("group\n\n# S3\ndegree 3\ng 1 2 0\ng 1 0 2\n")
+    path.write_text('{"group_file": "s3.group", ' + _SPEC_TAIL)
+    assert read_coset_spec(path)[0].order == 6

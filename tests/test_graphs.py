@@ -21,7 +21,14 @@ from edgeprim import (
 )
 from edgeprim.certify import _FIXTURES, S_ARC_CAP, RunConfig, _least_arc
 from edgeprim.graphs import is_automorphism, is_complete_bipartite, is_star
-from brute import brute_automorphisms, brute_s_arc_count, brute_s_arcs, diameter, girth
+from brute import (
+    brute_automorphisms,
+    brute_is_complete_bipartite,
+    brute_s_arc_count,
+    brute_s_arcs,
+    diameter,
+    girth,
+)
 
 
 def test_build_graph_validation():
@@ -60,6 +67,50 @@ def test_star_and_complete_bipartite_detection():
 
     assert is_complete_bipartite(complete_bipartite(3))
     assert not is_complete_bipartite(petersen())
+
+
+def _prism():
+    return build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+
+
+def _cube():
+    return build_graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
+
+
+def _two_k33():
+    return build_graph(12, [(o + i, o + 3 + j) for o in (0, 6) for i in range(3) for j in range(3)])
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [(lambda d=d: complete_bipartite(d), True) for d in range(1, 6)]
+    + [
+        (lambda: cycle_graph(4), True),
+        # The prism is 3-regular on 6 vertices but not bipartite.
+        (_prism, False),
+        (_two_k33, False),
+        (_cube, False),
+        (petersen, False),
+        (heawood, False),
+        (lambda: build_graph(4, []), False),
+    ],
+    ids=[f"K{d},{d}" for d in range(1, 6)]
+    + ["C4", "prism", "2K3,3", "cube", "Petersen", "Heawood", "edgeless"],
+)
+def test_complete_bipartite_detection_matches_the_definition(make, expected):
+    graph = make()
+    assert is_complete_bipartite(graph) == brute_is_complete_bipartite(graph) == expected
+
+
+def test_complete_bipartite_detection_on_every_graph_on_six_vertices():
+    pairs = list(itertools.combinations(range(6), 2))
+    hits = 0
+    for mask in range(1, 1 << len(pairs)):
+        graph = build_graph(6, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        got = is_complete_bipartite(graph)
+        assert got == brute_is_complete_bipartite(graph), graph.edges
+        hits += got
+    assert hits == 10  # the ways to split six vertices into two triples
 
 
 def test_s_arc_counts_on_cycles():

@@ -14,12 +14,14 @@ from edgeprim import (
     trivial_group,
 )
 from edgeprim.actions import block_witness
+from edgeprim.groups import orbit_of
 from brute import (
     all_subgroups,
     brute_centralizer,
     brute_closure,
     brute_normal_subgroups,
     brute_normalizer,
+    brute_orbits,
     brute_setwise_stabilizer,
     compose_t,
     inverse_t,
@@ -166,6 +168,30 @@ def test_block_witness_matches_a_union_find_without_the_early_stop():
             assert got.block_size == len(expected[0])
         outcomes.add(expected is None)
     assert outcomes == {True, False}
+
+
+def test_orbit_of_matches_brute_orbits_on_random_groups():
+    # Random subgroups of S5 and S6, and random transitive groups, as in the
+    # tests above; each orbit walk starts with its seeds and repeats nothing.
+    rng = random.Random(1951)
+    groups = []
+    for n in (5, 6):
+        ambient = sorted(brute_closure([p.images for p in _symmetric(n).generators]))
+        groups += [build_group(random_subgroup(rng, ambient, 3)) for _ in range(15)]
+    groups += [_random_transitive_group(rng, rng.choice([4, 6])) for _ in range(10)]
+    orbit_counts = set()
+    for group in groups:
+        n, gens = group.degree, [tuple(g) for g in group.gens]
+        expected = brute_orbits(brute_closure(gens), n)
+        orbit_counts.add(len(expected))
+        walks = [orbit_of((x,), gens) for x in range(n)]
+        assert {frozenset(walk) for walk in walks} == expected
+        assert all(walk[0] == x and len(set(walk)) == len(walk) for x, walk in enumerate(walks))
+        assert {frozenset(o) for o in group.orbits()} == expected
+        seeds = rng.sample(range(n), 2)
+        union = orbit_of(seeds, gens)
+        assert union[:2] == seeds and set(union) == set().union(*(walks[x] for x in seeds))
+    assert orbit_counts >= {1, 2, 3}
 
 
 def _regular_s3():
