@@ -6,6 +6,7 @@ integers and booleans.  Checks read the facts of one :class:`Analysis` of
 (group, graph, config), which computes each fact once: re-running a pass
 certificate from its recorded inputs reproduces identical evidence bit for
 bit.  Hypothesis failures yield not-applicable, never a vacuous pass.
+The decorator :func:`_check` is the one place a certificate is issued.
 """
 
 from __future__ import annotations
@@ -168,16 +169,6 @@ class Analysis:
             },
         )
 
-    def not_applicable(self, name: str, gate: str, evidence: dict) -> Certificate:
-        evidence = dict(evidence)
-        evidence["violated_hypothesis"] = gate
-        return self.certificate(name, NOT_APPLICABLE, evidence)
-
-    def scale_limit(self, name: str, exc: ScaleLimitError, evidence: dict) -> Certificate:
-        """A check refused at a cap, with the evidence gathered before it."""
-        evidence["scale_limit"] = str(exc)
-        return self.certificate(name, SCALE_LIMIT, evidence)
-
     @property
     def edge(self) -> tuple[int, int]:
         return self.graph.edges[0]
@@ -255,37 +246,61 @@ class Analysis:
         return self._normals[normal]
 
 
-def _once(check):
-    """Compute a graph-level check's certificate once per analysis; later
-    calls, including those from composite checks, return the same one."""
+class _Inapplicable(Exception):
+    """A hypothesis of a check fails; the message is the gate."""
 
-    @functools.wraps(check)
-    def run(analysis: Analysis) -> Certificate:
-        certificates = analysis._certificates
-        if check.__name__ not in certificates:
-            certificates[check.__name__] = check(analysis)
-        return certificates[check.__name__]
 
-    return run
+def _check(name: str):
+    """Issue the certificate of the check ``name``: the one place one is
+    built.  The decorated body fills an empty evidence map, its last
+    argument, and returns its verdict, a bool for pass or fail.  A failed
+    hypothesis (:class:`_Inapplicable`) and a refusal at a cap
+    (``ScaleLimitError``) become not-applicable and scale-limit, with the
+    evidence gathered before them.  A graph-level check, on the analysis
+    alone, is computed once per analysis: later calls, including those from
+    composite checks, return the same certificate."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def check(analysis: Analysis, *normal: Group) -> Certificate:
+            if not normal and name in analysis._certificates:
+                return analysis._certificates[name]
+            evidence: dict = {}
+            try:
+                verdict = body(analysis, *normal, evidence)
+            except _Inapplicable as gate:
+                verdict, evidence["violated_hypothesis"] = NOT_APPLICABLE, str(gate)
+            except ScaleLimitError as exc:
+                verdict, evidence["scale_limit"] = SCALE_LIMIT, str(exc)
+            if not isinstance(verdict, str):
+                verdict = PASS if verdict else FAIL
+            cert = analysis.certificate(name, verdict, evidence)
+            if not normal:
+                analysis._certificates[name] = cert
+            return cert
+
+        del check.__wrapped__  # its signature is the wrapper's, without the evidence map
+        return check
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
 # Graph-level checks
 
 
-@_once
-def is_edge_primitive(analysis: Analysis) -> Certificate:
+@_check("edge-primitive")
+def is_edge_primitive(analysis: Analysis, evidence: dict) -> bool:
     """Primitivity of the edge action, with a block witness on failure,
     from the images on edge indices (edge 0 is the analysed edge) of a
     reduced generating set of the group and of the edge stabilizer's
     generators."""
-    name = "edge-primitive"
     group, graph = analysis.group, analysis.graph
     if graph.num_edges == 0:
         raise ValueError("graph has no edges")
-    evidence: dict = {"edge_count": graph.num_edges, "group_order": group.order}
+    evidence.update(edge_count=graph.num_edges, group_order=group.order)
     if not analysis.edge_transitive:
-        return analysis.not_applicable(name, "group is not edge-transitive", evidence)
+        raise _Inapplicable("group is not edge-transitive")
     stab = analysis.edge_stabilizer
     evidence["edge_stabilizer_order"] = stab.order
     gens = analysis.reduced.gens
@@ -299,13 +314,13 @@ def is_edge_primitive(analysis: Analysis) -> Certificate:
         evidence["graph_is_star"] = star
         if not star:
             evidence["arc_transitive"] = analysis.arc_transitive
-        return analysis.certificate(name, PASS, evidence)
+        return True
     evidence["witness_block_size"] = witness.block_size
     evidence["witness_num_blocks"] = witness.num_blocks
     evidence["witness_blocks"] = sorted(
         sorted(list(graph.edges[i]) for i in block) for block in witness.blocks
     )
-    return analysis.certificate(name, FAIL, evidence)
+    return False
 
 
 def _edge_kernel_order(group: Group, graph: Graph, images: list) -> int:
@@ -325,8 +340,8 @@ def _edge_kernel_order(group: Group, graph: Graph, images: list) -> int:
     return 1 if len(covered) == graph.n else group.pointwise_stabilizer(covered).order
 
 
-@_once
-def s_transitivity_degree(analysis: Analysis) -> Certificate:
+@_check("s-degree")
+def s_transitivity_degree(analysis: Analysis, evidence: dict) -> bool:
     """Largest s <= S_ARC_CAP with the group transitive on s-arcs.
 
     Transitivity at each s is decided by exact counting: the group is
@@ -336,17 +351,16 @@ def s_transitivity_degree(analysis: Analysis) -> Certificate:
     later one.  The s-arc read at rung s is the first s + 1 vertices of
     :func:`_least_arc`.  No induced group on arcs is built.
     """
-    name = "s-degree"
     group, graph = analysis.group, analysis.graph
-    evidence: dict = {"group_order": group.order}
+    evidence["group_order"] = group.order
     d = valency(graph)
     if not is_connected(graph):
-        return analysis.not_applicable(name, "graph is disconnected", evidence)
+        raise _Inapplicable("graph is disconnected")
     if d is None:
-        return analysis.not_applicable(name, "graph is irregular", evidence)
+        raise _Inapplicable("graph is irregular")
     evidence["valency"] = d
     if d < 3:
-        return analysis.not_applicable(name, "valency < 3", evidence)
+        raise _Inapplicable("valency < 3")
     evidence["vertex_transitive"] = analysis.vertex_transitive
     evidence["arc_transitive"] = analysis.arc_transitive
 
@@ -371,9 +385,7 @@ def s_transitivity_degree(analysis: Analysis) -> Certificate:
         # exactly when the group is transitive on 8-arcs.
         evidence["probe_s8_transitive"] = degree == 8
         evidence["weiss_cap_ok"] = degree <= 7
-        if not evidence["weiss_cap_ok"]:
-            return analysis.certificate(name, FAIL, evidence)
-    return analysis.certificate(name, PASS, evidence)
+    return degree <= 7
 
 
 def _least_arc(graph: Graph) -> tuple[int, ...]:
@@ -388,8 +400,8 @@ def _least_arc(graph: Graph) -> tuple[int, ...]:
     return tuple(arc)
 
 
-@_once
-def local_structure(analysis: Analysis) -> Certificate:
+@_check("local-structure")
+def local_structure(analysis: Analysis, evidence: dict) -> bool:
     """Local action orders, kernels, and the group-extension order identity.
 
     Evidence at a vertex v with neighbor u: |G_v|, the local image
@@ -397,22 +409,19 @@ def local_structure(analysis: Analysis) -> Certificate:
     prime-power verdict on the two-sided kernel, and the exact identity
     |G_v| = |K_uv| * |K_v on nbhd(u)| * |G_v^{nbhd}|.
     """
-    name = "local-structure"
     group, graph = analysis.group, analysis.graph
     if graph.num_edges == 0:
         raise ValueError("graph has no edges")
-    transitive = analysis.vertex_transitive
-    evidence: dict = {"vertex_transitive": transitive}
+    transitive = evidence["vertex_transitive"] = analysis.vertex_transitive
     reps = [0] if transitive else [o[0] for o in group.orbits()]
     per_vertex = {
         str(v): _local_evidence(analysis, v) for v in reps if graph.adjacency[v]
     }
     if transitive:
         evidence.update(per_vertex["0"])
-        ok = evidence["extension_identity_ok"] and evidence["arc_kernel_is_p_group"]
-        return analysis.certificate(name, PASS if ok else FAIL, evidence)
+        return evidence["extension_identity_ok"] and evidence["arc_kernel_is_p_group"]
     evidence["per_vertex"] = per_vertex
-    return analysis.not_applicable(name, "group is not vertex-transitive", evidence)
+    raise _Inapplicable("group is not vertex-transitive")
 
 
 def _local_evidence(analysis: Analysis, v: int) -> dict:
@@ -447,95 +456,82 @@ def _local_evidence(analysis: Analysis, v: int) -> dict:
     return out
 
 
-@_once
-def almost_simple_certificate(analysis: Analysis) -> Certificate:
+@_check("almost-simple")
+def almost_simple_certificate(analysis: Analysis, evidence: dict) -> bool:
     """Simple perfect core with trivial centralizer.
 
     This certifies T <= G <= Aut(T) for a nonabelian simple T: the perfect
     core is nontrivial, simple, normal, and self-centralizing-up-to-
     triviality, which pins G into the automorphism group of its socle.
     """
-    name = "almost-simple"
     group, cutoff = analysis.group, analysis.config.enumeration_cutoff
-    evidence: dict = {"group_order": group.order}
+    evidence["group_order"] = group.order
     reduced = analysis.reduced
     core = perfect_core(reduced)
     evidence["core_order"] = core.order
     if core.order == 1:
         evidence["core_simple"] = False
-        return analysis.certificate(name, FAIL, evidence)
+        return False
     evidence["core_index"] = group.order // core.order
-    try:
-        simple = is_simple(core, cutoff)
-        evidence["core_simple"] = simple
-        if not simple:
-            return analysis.certificate(name, FAIL, evidence)
-        normal = is_normal(reduced, core)
-        evidence["core_normal"] = normal
-        cent = centralizer(reduced, core, cutoff)
-    except ScaleLimitError as exc:
-        return analysis.scale_limit(name, exc, evidence)
-    evidence["centralizer_order"] = cent.order
-    verdict = PASS if normal and cent.order == 1 else FAIL
-    return analysis.certificate(name, verdict, evidence)
+    evidence["core_simple"] = is_simple(core, cutoff)
+    if not evidence["core_simple"]:
+        return False
+    evidence["core_normal"] = is_normal(reduced, core)
+    evidence["centralizer_order"] = centralizer(reduced, core, cutoff).order
+    return evidence["core_normal"] and evidence["centralizer_order"] == 1
 
 
-@_once
-def main_theorem_check(analysis: Analysis) -> Certificate:
+@_check("main-theorem")
+def main_theorem_check(analysis: Analysis, evidence: dict) -> bool | str:
     """Edge-primitive plus 2-arc-transitive forces complete bipartite or
     almost simple; verify whichever branch applies.  A fixture satisfying
     the hypotheses with neither branch is a genuine counterexample and
     yields fail."""
-    name = "main-theorem"
     graph = analysis.graph
-    evidence: dict = {"group_order": analysis.group.order}
+    evidence["group_order"] = analysis.group.order
     d = valency(graph)
     if d is None or d < 3 or not is_connected(graph):
-        return analysis.not_applicable(
-            name, "graph is not connected d-regular with d >= 3", evidence
-        )
+        raise _Inapplicable("graph is not connected d-regular with d >= 3")
     evidence["valency"] = d
     evidence["edge_primitive"] = analysis.edge_primitive
     if not evidence["edge_primitive"]:
-        return analysis.not_applicable(name, "not edge-primitive", evidence)
+        raise _Inapplicable("not edge-primitive")
     sd = s_transitivity_degree(analysis)
     degree = sd.evidence.get("s_degree", 0)
     evidence["s_degree"] = degree
     if sd.verdict != PASS or degree < 2:
-        return analysis.not_applicable(name, "not 2-arc-transitive", evidence)
+        raise _Inapplicable("not 2-arc-transitive")
     if is_complete_bipartite(graph):
         evidence["branch"] = "complete-bipartite"
-        return analysis.certificate(name, PASS, evidence)
+        return True
     asc = almost_simple_certificate(analysis)
     evidence["branch"] = "almost-simple"
     evidence["almost_simple"] = asc.verdict == PASS
     evidence["core_order"] = asc.evidence.get("core_order")
-    if asc.verdict == SCALE_LIMIT:
-        return analysis.certificate(name, SCALE_LIMIT, evidence)
-    return analysis.certificate(name, PASS if asc.verdict == PASS else FAIL, evidence)
+    # almost-simple has no gate: its pass, fail or scale-limit is this one.
+    return asc.verdict
 
 
-@_once
-def prime_valency_check(analysis: Analysis) -> Certificate:
+@_check("prime-valency")
+def prime_valency_check(analysis: Analysis, evidence: dict) -> bool | str:
     """For prime valency: 2-arc-transitive, or the complete-graph branch
     with the projective-linear order and valency > 11."""
-    name = "prime-valency"
     group, graph = analysis.group, analysis.graph
-    evidence: dict = {"group_order": group.order}
+    evidence["group_order"] = group.order
     d = valency(graph)
     evidence["valency"] = d
     if d is None or prime_factors(d) != [d]:
-        return analysis.not_applicable(name, "valency is not prime", evidence)
+        raise _Inapplicable("valency is not prime")
     evidence["edge_primitive"] = analysis.edge_primitive
     if not evidence["edge_primitive"]:
-        return analysis.not_applicable(name, "not edge-primitive", evidence)
+        raise _Inapplicable("not edge-primitive")
     if is_complete_bipartite(graph):
-        return analysis.not_applicable(name, "graph is complete bipartite", evidence)
+        raise _Inapplicable("graph is complete bipartite")
     degree = s_transitivity_degree(analysis).evidence.get("s_degree", 0)
     evidence["s_degree"] = degree
     if degree >= 2:
         evidence["branch"] = "2-arc-transitive"
-        return analysis.certificate(name, PASS, evidence)
+        return True
     evidence["branch"] = "complete-graph"
     complete = is_complete(graph) and graph.n == d + 1
     evidence["graph_is_complete_d_plus_1"] = complete
@@ -544,19 +540,13 @@ def prime_valency_check(analysis: Analysis) -> Certificate:
     evidence["valency_greater_11"] = d > 11
     asc = almost_simple_certificate(analysis)
     if asc.verdict == SCALE_LIMIT:
-        return analysis.certificate(name, SCALE_LIMIT, evidence)
+        return SCALE_LIMIT
     evidence["almost_simple"] = asc.verdict == PASS
-    ok = (
-        complete
-        and group.order == expected_order
-        and d > 11
-        and asc.verdict == PASS
-    )
-    return analysis.certificate(name, PASS if ok else FAIL, evidence)
+    return complete and group.order == expected_order and d > 11 and asc.verdict == PASS
 
 
-@_once
-def three_arc_criterion(analysis: Analysis) -> Certificate:
+@_check("three-arc")
+def three_arc_criterion(analysis: Analysis, evidence: dict) -> bool:
     """For 2-arc-transitive groups with faithful vertex stabilizers:
     3-arc-transitivity holds iff the valency is 7, the vertex stabilizer
     has alternating-7 core, and the edge stabilizer is not symmetric-6.
@@ -568,26 +558,21 @@ def three_arc_criterion(analysis: Analysis) -> Certificate:
     Whether the edge stabilizer is S_6 is decided exactly by
     :func:`_is_sym6`.
     """
-    name = "three-arc"
     graph = analysis.graph
-    evidence: dict = {"group_order": analysis.group.order}
+    evidence["group_order"] = analysis.group.order
     d = valency(graph)
     evidence["valency"] = d
     if d is None or d < 3 or not is_connected(graph):
-        return analysis.not_applicable(
-            name, "graph is not connected d-regular with d >= 3", evidence
-        )
+        raise _Inapplicable("graph is not connected d-regular with d >= 3")
     sd = s_transitivity_degree(analysis)
     degree = sd.evidence.get("s_degree", 0)
     evidence["s_degree"] = degree
     if sd.verdict != PASS or degree < 2:
-        return analysis.not_applicable(name, "not 2-arc-transitive", evidence)
+        raise _Inapplicable("not 2-arc-transitive")
     local = analysis.local(0)
     evidence["order_vertex_kernel"] = local.kernel.order
     if local.kernel.order != 1:
-        return analysis.not_applicable(
-            name, "vertex stabilizer is not faithful on the neighborhood", evidence
-        )
+        raise _Inapplicable("vertex stabilizer is not faithful on the neighborhood")
     left = degree >= 3
     evidence["three_arc_transitive"] = left
 
@@ -604,9 +589,8 @@ def three_arc_criterion(analysis: Analysis) -> Certificate:
             right = not _is_sym6(edge_stab)
             evidence["edge_stabilizer_differs_from_sym6"] = right
     evidence["right_side"] = right
-    verdict = PASS if left == right else FAIL
     evidence["sides_agree"] = left == right
-    return analysis.certificate(name, verdict, evidence)
+    return left == right
 
 
 def _is_sym6(group: Group) -> bool:
@@ -655,19 +639,16 @@ def _is_sym6(group: Group) -> bool:
 # (group, normal subgroup) checks
 
 
-def counting_identity_check(analysis: Analysis, normal: Group) -> Certificate:
+@_check("counting")
+def counting_identity_check(analysis: Analysis, normal: Group, evidence: dict) -> bool:
     """Exact stabilizer-order identities for a nontrivial normal subgroup
     of an edge-primitive group: 2|N_v| = d|N_edge| in the vertex-transitive
     case, |N_v| = d|N_edge| = d|N_arc| otherwise; and N_v is neither trivial
     nor the whole edge stabilizer."""
-    name = "counting"
     sub = analysis.of_normal(normal)
-    evidence: dict = {
-        "group_order": analysis.group.order,
-        "normal_order": normal.order,
-    }
+    evidence.update(group_order=analysis.group.order, normal_order=normal.order)
     if not analysis.edge_primitive:
-        return analysis.not_applicable(name, "group is not edge-primitive", evidence)
+        raise _Inapplicable("group is not edge-primitive")
     d = valency(analysis.graph)
     evidence["valency"] = d
     n_v = normal.point_stabilizer(sub.edge[1])
@@ -686,75 +667,61 @@ def counting_identity_check(analysis: Analysis, normal: Group) -> Certificate:
     evidence["identity_ok"] = identity_ok
     evidence["Nv_nontrivial"] = n_v.order > 1
     evidence["Nv_differs_from_N_edge"] = not same_subgroup(n_v, n_edge)
-    ok = identity_ok and evidence["Nv_nontrivial"] and evidence["Nv_differs_from_N_edge"]
-    return analysis.certificate(name, PASS if ok else FAIL, evidence)
+    return identity_ok and evidence["Nv_nontrivial"] and evidence["Nv_differs_from_N_edge"]
 
 
-def selfnorm_check(analysis: Analysis, normal: Group) -> Certificate:
+@_check("selfnorm")
+def selfnorm_check(analysis: Analysis, normal: Group, evidence: dict) -> bool:
     """Either the graph is complete bipartite, or the arc stabilizer in the
     normal subgroup is nontrivial and the edge stabilizer self-normalized."""
-    name = "selfnorm"
     sub = analysis.of_normal(normal)
-    evidence: dict = {
-        "group_order": analysis.group.order,
-        "normal_order": normal.order,
-    }
+    evidence.update(group_order=analysis.group.order, normal_order=normal.order)
     if not analysis.edge_primitive:
-        return analysis.not_applicable(name, "group is not edge-primitive", evidence)
+        raise _Inapplicable("group is not edge-primitive")
     if is_complete_bipartite(analysis.graph):
         evidence["branch"] = "complete-bipartite"
-        return analysis.certificate(name, PASS, evidence)
+        return True
     evidence["branch"] = "self-normalized"
     n_uv, n_edge = sub.arc_stabilizer, sub.edge_stabilizer
     evidence["order_N_arc"] = n_uv.order
     evidence["order_N_edge"] = n_edge.order
     evidence["N_arc_nontrivial"] = n_uv.order > 1
-    try:
-        norm = normalizer(normal, n_edge, analysis.config.enumeration_cutoff)
-    except ScaleLimitError as exc:
-        return analysis.scale_limit(name, exc, evidence)
+    norm = normalizer(normal, n_edge, analysis.config.enumeration_cutoff)
     evidence["normalizer_order"] = norm.order
     evidence["self_normalized"] = same_subgroup(norm, n_edge)
-    ok = evidence["N_arc_nontrivial"] and evidence["self_normalized"]
-    return analysis.certificate(name, PASS if ok else FAIL, evidence)
+    return evidence["N_arc_nontrivial"] and evidence["self_normalized"]
 
 
-def sylow_arc_check(analysis: Analysis, normal: Group) -> Certificate:
+@_check("sylow-arc")
+def sylow_arc_check(analysis: Analysis, normal: Group, evidence: dict) -> bool:
     """Normal Sylow subgroups of the edge stabilizer are full Sylow
     subgroups of the normal subgroup; the edge stabilizer is nonabelian;
     and an abelian arc stabilizer forces arc-transitivity."""
-    name = "sylow-arc"
     sub = analysis.of_normal(normal)
-    evidence: dict = {
-        "group_order": analysis.group.order,
-        "normal_order": normal.order,
-    }
+    evidence.update(group_order=analysis.group.order, normal_order=normal.order)
     if not analysis.edge_primitive:
-        return analysis.not_applicable(name, "group is not edge-primitive", evidence)
+        raise _Inapplicable("group is not edge-primitive")
     if is_complete_bipartite(analysis.graph):
-        return analysis.not_applicable(name, "graph is complete bipartite", evidence)
+        raise _Inapplicable("graph is complete bipartite")
     n_uv, n_edge = sub.arc_stabilizer, sub.edge_stabilizer
     evidence["order_N_arc"] = n_uv.order
     evidence["order_N_edge"] = n_edge.order
     sylow_rows = []
     all_ok = True
-    try:
-        for p in prime_factors(n_edge.order):
-            syl = sylow_subgroup(n_edge, p, analysis.config.enumeration_cutoff)
-            normal_in_stab = is_normal(n_edge, syl)
-            row = {
-                "prime": p,
-                "sylow_order": syl.order,
-                "normal_in_edge_stabilizer": normal_in_stab,
-            }
-            if normal_in_stab and syl.order > 1:
-                full = _p_part(normal.order, p)
-                row["full_sylow_order"] = full
-                row["is_full_sylow"] = syl.order == full
-                all_ok = all_ok and syl.order == full
-            sylow_rows.append(row)
-    except ScaleLimitError as exc:
-        return analysis.scale_limit(name, exc, evidence)
+    for p in prime_factors(n_edge.order):
+        syl = sylow_subgroup(n_edge, p, analysis.config.enumeration_cutoff)
+        normal_in_stab = is_normal(n_edge, syl)
+        row = {
+            "prime": p,
+            "sylow_order": syl.order,
+            "normal_in_edge_stabilizer": normal_in_stab,
+        }
+        if normal_in_stab and syl.order > 1:
+            full = _p_part(normal.order, p)
+            row["full_sylow_order"] = full
+            row["is_full_sylow"] = syl.order == full
+            all_ok = all_ok and syl.order == full
+        sylow_rows.append(row)
     evidence["sylow_rows"] = sylow_rows
     nonabelian = not is_abelian(n_edge)
     evidence["N_edge_nonabelian"] = nonabelian
@@ -765,10 +732,11 @@ def sylow_arc_check(analysis: Analysis, normal: Group) -> Certificate:
         arc_trans = sub.arc_transitive
         evidence["normal_arc_transitive"] = arc_trans
         all_ok = all_ok and arc_trans
-    return analysis.certificate(name, PASS if all_ok else FAIL, evidence)
+    return all_ok
 
 
-def affine_normal_check(analysis: Analysis, normal: Group) -> Certificate:
+@_check("affine-normal")
+def affine_normal_check(analysis: Analysis, normal: Group, evidence: dict) -> bool:
     """For a 2-transitive affine group: an imprimitive nontrivial normal
     subgroup is a soluble Frobenius group with cyclic point stabilizer.
 
@@ -777,36 +745,28 @@ def affine_normal_check(analysis: Analysis, normal: Group) -> Certificate:
     fields) whose exact scoping is ambiguous; it is reported as unchecked
     rather than judged.
     """
-    name = "affine-normal"
     group = analysis.group
     analysis.of_normal(normal)  # rejects a trivial or non-normal subgroup
-    evidence: dict = {
-        "group_order": group.order,
-        "normal_order": normal.order,
-        "degree": group.degree,
-        "residual_clause_checked": False,
-    }
+    evidence.update(
+        group_order=group.order, normal_order=normal.order, degree=group.degree,
+        residual_clause_checked=False,
+    )
     if not is_k_transitive(group, 2):
-        return analysis.not_applicable(name, "group is not 2-transitive", evidence)
-    if not is_transitive(normal):
-        return analysis.not_applicable(name, "normal subgroup is intransitive", evidence)
+        raise _Inapplicable("group is not 2-transitive")
+    # A 2-transitive group is primitive, so its nontrivial normal subgroups are transitive.
     stab = normal.point_stabilizer(0)
     evidence["order_N0"] = stab.order
     if stab.order == 1:
-        return analysis.not_applicable(name, "normal subgroup is regular", evidence)
+        raise _Inapplicable("normal subgroup is regular")
     primitive, witness = is_primitive(normal)
     evidence["normal_primitive"] = primitive
     if primitive:
-        return analysis.not_applicable(name, "normal subgroup is primitive", evidence)
+        raise _Inapplicable("normal subgroup is primitive")
     evidence["witness_block_size"] = witness.block_size
     evidence["soluble"] = is_soluble(normal)
     evidence["frobenius"] = is_frobenius(normal)
-    try:
-        evidence["stabilizer_cyclic"] = is_cyclic(stab, analysis.config.enumeration_cutoff)
-    except ScaleLimitError as exc:
-        return analysis.scale_limit(name, exc, evidence)
-    ok = evidence["soluble"] and evidence["frobenius"] and evidence["stabilizer_cyclic"]
-    return analysis.certificate(name, PASS if ok else FAIL, evidence)
+    evidence["stabilizer_cyclic"] = is_cyclic(stab, analysis.config.enumeration_cutoff)
+    return evidence["soluble"] and evidence["frobenius"] and evidence["stabilizer_cyclic"]
 
 
 # ---------------------------------------------------------------------------

@@ -196,4 +196,10 @@ def read_coset_spec(path: str | Path) -> tuple[Group, list[Permutation], Permuta
         connector = Permutation(tuple(data["connector"]))
     except (TypeError, ValueError) as exc:
         raise FileFormatError(path, 1, f"bad permutation data: {exc}")
+    if not sub_gens:
+        raise FileFormatError(path, 1, "'subgroup_generators' is empty")
+    degree = group.degree
+    for what, perm in [("subgroup generator", g) for g in sub_gens] + [("connector", connector)]:
+        if perm.degree != degree:
+            raise FileFormatError(path, 1, f"{what} has degree {perm.degree}, expected {degree}")
     return group, sub_gens, connector

@@ -550,6 +550,69 @@ def test_graph_shape_gates(graph, check, gate, evidence):
     assert cert.evidence == {**evidence, "violated_hypothesis": gate}
 
 
+PATH5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+
+
+def _local_row(v, u, stab, primitive, two_transitive):
+    return {
+        "vertex": v, "neighbor": u, "order_vertex_stabilizer": stab, "order_local_image": stab,
+        "order_vertex_kernel": 1, "order_arc_kernel": 1, "order_vertex_kernel_on_other_side": 1,
+        "arc_kernel_is_p_group": True, "arc_kernel_prime": None,
+        "locally_primitive": primitive, "locally_2_transitive": two_transitive,
+        "extension_identity_ok": True,
+    }
+
+
+def _path5(check):
+    return check(Analysis(automorphism_group(PATH5), PATH5))
+
+
+def _cycle6_s_degree():
+    return s_transitivity_degree(Analysis(automorphism_group(cycle_graph(6)), cycle_graph(6)))
+
+
+def _d5_over_c5():
+    d5 = build_group([from_cycles(5, [(0, 1, 2, 3, 4)]), from_cycles(5, [(1, 4), (2, 3)])])
+    return affine_normal_check(Analysis(d5), build_group([from_cycles(5, [(0, 1, 2, 3, 4)])]))
+
+
+@pytest.mark.parametrize(
+    "make, evidence",
+    [
+        (lambda: _path5(is_edge_primitive), {
+            "edge_count": 4, "group_order": 2,
+            "violated_hypothesis": "group is not edge-transitive",
+        }),
+        (lambda: _path5(local_structure), {
+            "vertex_transitive": False,
+            "per_vertex": {
+                "0": _local_row(0, 1, 1, True, False),
+                "1": _local_row(1, 0, 1, False, False),
+                "2": _local_row(2, 1, 2, True, True),
+            },
+            "violated_hypothesis": "group is not vertex-transitive",
+        }),
+        (lambda: _path5(s_transitivity_degree), {
+            "group_order": 2, "violated_hypothesis": "graph is irregular",
+        }),
+        (_cycle6_s_degree, {
+            "group_order": 12, "valency": 2, "violated_hypothesis": "valency < 3",
+        }),
+        (_d5_over_c5, {
+            "group_order": 10, "normal_order": 5, "degree": 5,
+            "residual_clause_checked": False,
+            "violated_hypothesis": "group is not 2-transitive",
+        }),
+    ],
+    ids=["edge-primitive P5", "local-structure P5", "s-degree P5", "s-degree C6",
+         "affine-normal D5 over C5"],
+)
+def test_gate_certificates_are_pinned(make, evidence):
+    cert = make()
+    assert cert.verdict == NOT_APPLICABLE
+    assert cert.evidence == evidence
+
+
 @pytest.mark.parametrize("check", [counting_identity_check, selfnorm_check, sylow_arc_check])
 def test_pair_checks_gate_on_edge_primitivity(check):
     g = petersen()

@@ -435,6 +435,11 @@ def test_io_and_encoding_errors_are_usage_errors(tmp_path, capsys):
     _usage_error(["group", "--group", str(non_ascii)], capsys)
 
 
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+# A coset spec on docs/examples/a5.group: subgroup generators, connector images.
+A5_SPEC = '{"group_file": "a5.group", "subgroup_generators": [%s], "connector": [%s]}'
+
+
 @pytest.mark.parametrize(
     "name, text, command, location, message",
     [
@@ -442,12 +447,20 @@ def test_io_and_encoding_errors_are_usage_errors(tmp_path, capsys):
         ("spec.json", '{"group_file": 5, "subgroup_generators": [], "connector": []}',
          "construct", 1, "'group_file' must be a string"),
         ("empty.graph", "graph\nn 0\n", "analyze", 2, "graph needs at least one vertex"),
+        ("spec.json", A5_SPEC % ("", "1, 0, 2, 4, 3"), "construct", 1,
+         "'subgroup_generators' is empty"),
+        ("spec.json", A5_SPEC % ("[1, 2, 0]", "1, 0, 2, 4, 3"), "construct", 1,
+         "subgroup generator has degree 3, expected 5"),
+        ("spec.json", A5_SPEC % ("[1, 2, 0, 3, 4]", "1, 0, 2"), "construct", 1,
+         "connector has degree 3, expected 5"),
     ],
-    ids=["spec not an object", "group_file not a string", "graph with n 0"],
+    ids=["spec not an object", "group_file not a string", "graph with n 0",
+         "no subgroup generators", "subgroup generator of degree 3", "connector of degree 3"],
 )
 def test_malformed_inputs_are_file_errors(
     name, text, command, location, message, tmp_path, capsys
 ):
+    (tmp_path / "a5.group").write_text(EXAMPLES.joinpath("a5.group").read_text())
     path = tmp_path / name
     path.write_text(text)
     argv = {

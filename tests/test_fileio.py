@@ -183,6 +183,12 @@ READER_ERRORS = [
      "bad permutation data: images (1, 1, 2) are not a bijection on 0..2"),
     ("spec", '{"group_file": "s3.group", "subgroup_generators": 5, "connector": [0, 2, 1]}', 1,
      "bad permutation data: 'int' object is not iterable"),
+    ("spec", '{"group_file": "s3.group", "subgroup_generators": [], "connector": [0, 2, 1]}', 1,
+     "'subgroup_generators' is empty"),
+    ("spec", '{"group_file": "s3.group", "subgroup_generators": [[1, 0]], "connector": [0, 2, 1]}',
+     1, "subgroup generator has degree 2, expected 3"),
+    ("spec", '{"group_file": "s3.group", "subgroup_generators": [[1, 0, 2]], "connector": [1, 0]}',
+     1, "connector has degree 2, expected 3"),
 ]
 
 
